@@ -74,6 +74,8 @@ class MixtureSpec:
                 f"N={self.n}, M={self.m}, M'={self.mp}")
         if self.n < 1:
             raise InvalidConfig("need at least one particle")
+        if not (np.isfinite(self.L) and np.isfinite(self.c)):
+            raise InvalidConfig("box length and coupling must be finite")
         if self.L <= 0:
             raise InvalidConfig("box length must be positive")
         if self.c <= 0:
@@ -296,6 +298,14 @@ def _split(spec: MixtureSpec, x: np.ndarray) -> RootSet:
     return RootSet(k=x[:n], lam=x[n:n + m], mu=x[n + m:])
 
 
+def _norm(r: np.ndarray) -> float:
+    """Residual 2-norm. On runaway iterates it overflows to inf, which
+    fails the line search's descent test as it should, so the overflow
+    warning is suppressed."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(r))
+
+
 def _newton(spec: MixtureSpec, qn: QuantumNumberConfig,
             x0: np.ndarray) -> np.ndarray:
     """Damped Newton with backtracking on the residual 2-norm."""
@@ -310,12 +320,12 @@ def _newton(spec: MixtureSpec, qn: QuantumNumberConfig,
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
             raise NonConvergence("singular Jacobian", best) from None
-        norm0 = float(np.linalg.norm(r))
+        norm0 = _norm(r)
         t = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             x_new = x + t * step
             r_new = residual(spec, qn, _split(spec, x_new))
-            if float(np.linalg.norm(r_new)) < norm0:
+            if _norm(r_new) < norm0:
                 break
             t *= 0.5
         else:

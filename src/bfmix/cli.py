@@ -16,52 +16,31 @@ unwritable output path.
 Every data file is CSV ('.' decimal separator, 17 significant digits,
 mandatory header) accompanied by `<file>.manifest.json` recording the
 equation set, inputs, tolerances, seed, and tie-break policy. Identical
-inputs (including seed) produce byte-identical CSV. The environment
-variable BFMIX_THREADS (default 1) sets the worker count for sweep
-parallelism; results merge by sweep index, so output does not depend on
-it.
+inputs (including seed) produce byte-identical CSV.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import algebra, excitations, phases, thermo
-from .bae import (InvalidConfig, MixtureSpec, NonConvergence,
-                  energy_momentum, solve)
+from . import algebra, bae, excitations, phases, thermo
+from .bae import InvalidConfig, MixtureSpec, NonConvergence
 
-_TOLERANCES = {"newton_tol": 1e-10, "newton_max_steps": 200,
-               "thermo_energy_tol": 1e-8, "kf_constraint_tol": 1e-12}
+_TOLERANCES = {"newton_tol": bae._TOL, "newton_max_steps": bae._MAX_STEPS,
+               "thermo_energy_tol": thermo._ENERGY_TOL,
+               "kf_constraint_tol": thermo._KF_TOL}
 _TIE_BREAK = "larger N_B, then larger N_up"
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_UNWRITABLE = 4
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("BFMIX_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn: Callable, items: Sequence) -> list:
-    """Order-preserving map, optionally threaded (BFMIX_THREADS)."""
-    workers = _threads()
-    if workers == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _fmt(value) -> str:
@@ -97,8 +76,7 @@ class _Unwritable(Exception):
 
 def _manifest(subcommand: str, **inputs) -> dict:
     return {"subcommand": subcommand, "inputs": inputs,
-            "tolerances": _TOLERANCES, "tie_break": _TIE_BREAK,
-            "threads": _threads()}
+            "tolerances": _TOLERANCES, "tie_break": _TIE_BREAK}
 
 
 def _parse_range(text: str) -> list[float]:
@@ -108,13 +86,20 @@ def _parse_range(text: str) -> list[float]:
         if len(parts) != 3:
             raise InvalidConfig(f"range must be start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
+        if not np.isfinite([start, stop, step]).all():
+            raise InvalidConfig(f"range bounds must be finite, got {text!r}")
         if step <= 0:
             raise InvalidConfig("range step must be positive")
-        count = int(np.floor((stop - start) / step + 1e-9)) + 1
+        count = np.floor((stop - start) / step + 1e-9) + 1
+        if not np.isfinite(count):
+            raise InvalidConfig(f"range {text!r} has no finite point count")
         if count < 1:
             raise InvalidConfig(f"empty range {text!r}")
-        return [start + i * step for i in range(count)]
-    return [float(p) for p in text.split(",") if p]
+        return [start + i * step for i in range(int(count))]
+    values = [float(p) for p in text.split(",") if p]
+    if not np.isfinite(values).all():
+        raise InvalidConfig(f"range values must be finite, got {text!r}")
+    return values
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -135,10 +120,8 @@ def _cmd_ybe_check(args) -> int:
             raise InvalidConfig(f"unknown case {case!r}")
         for c in couplings:
             pts = rng.uniform(-10.0, 10.0, size=(args.num, 2))
-            residuals = _pmap(
-                lambda ab, _case=case, _c=c:
-                    algebra.ybe_residual(_case, ab[0], ab[1], _c), list(pts))
-            for (alpha, beta), res in zip(pts, residuals):
+            for alpha, beta in pts:
+                res = algebra.ybe_residual(case, alpha, beta, c)
                 rows.append((case, c, alpha, beta, res))
                 worst = max(worst, res)
     manifest = _manifest("ybe-check", cases=cases, c=couplings, num=args.num,
@@ -191,13 +174,10 @@ def _cmd_excite(args) -> int:
                      *excitations.ground_populations(args.case, args.n),
                      args.l, args.c)
 
-    def sweep(name):
-        return [(name,) + pt.params + ((float("nan"),) * (2 - len(pt.params)))
-                + (pt.p, pt.de, pt.status)
-                for pt in excitations.dispersion(
-                    gs, _FAMILY_BUILDERS[name](args))]
-
-    rows = [row for chunk in _pmap(sweep, names) for row in chunk]
+    rows = [(name,) + pt.params + ((float("nan"),) * (2 - len(pt.params)))
+            + (pt.p, pt.de, pt.status)
+            for name in names
+            for pt in excitations.dispersion(gs, _FAMILY_BUILDERS[name](args))]
     manifest = _manifest("excite", case=args.case, n=args.n, L=args.l,
                          c=args.c, families=names, two_mp=args.two_mp)
     _write_rows(args.out, ("family", "param1", "param2", "p", "de", "status"),
@@ -212,14 +192,13 @@ def _cmd_density(args) -> int:
     spec0 = MixtureSpec(args.case, args.n, args.m, args.mp, args.l,
                         couplings[0])
 
-    def one(c):
+    rows = []
+    for c in couplings:
         spec = spec0.replace_c(c)
-        qn, roots, _ = excitations.sector_ground(spec)
+        _, roots, _ = excitations.sector_ground(spec)
         mid, rho = excitations.density_histogram(spec, roots)
-        return [(c, i, float(m), float(r))
-                for i, (m, r) in enumerate(zip(mid, rho))]
-
-    rows = [row for chunk in _pmap(one, couplings) for row in chunk]
+        rows.extend((c, i, float(m), float(r))
+                    for i, (m, r) in enumerate(zip(mid, rho)))
     manifest = _manifest("density", case=args.case, n=args.n, m=args.m,
                          mp=args.mp, L=args.l, c=couplings)
     _write_rows(args.out, ("c", "index", "k_mid", "rho"), rows, manifest)

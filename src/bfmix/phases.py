@@ -110,7 +110,10 @@ def classify(populations: tuple[int, int, int]) -> str:
 
 def grand_energy(populations: tuple[int, int, int], e: float,
                  fields: FieldPoint) -> float:
-    """H = E - mu_B N_B - mu_f (N_up + N_down) - (h/2)(N_up - N_down)."""
+    """H = E - mu_B N_B - mu_f (N_up + N_down) - (h/2)(N_up - N_down).
+
+    Elementwise when the populations are three arrays and e an array.
+    """
     n_b, up, dn = populations
     return (e - fields.mu_b * n_b - fields.mu_f * (up + dn)
             - 0.5 * fields.h * (up - dn))
@@ -163,51 +166,19 @@ def lattice_min_sum(count: int, parity: int) -> float:
     return sum(vals[:count]) / 4.0
 
 
-def _minimize(comps: list[tuple[int, int, int]], energies: list[float],
-              fields: FieldPoint) -> tuple[tuple[int, int, int], float]:
-    """Grand-energy minimizer with the larger-N_B / larger-N_up tie-break."""
-    best = None
-    for pops, e in zip(comps, energies):
-        h = grand_energy(pops, e, fields)
-        key = (h, -pops[0], -pops[1])
-        if best is None or key < best[0]:
-            best = (key, pops, h)
-    assert best is not None
-    return best[1], best[2]
-
-
-def _weak_table(n: int, L: int | float
-                ) -> tuple[list[tuple[int, int, int]], list[float]]:
-    u = (2.0 * np.pi / L) ** 2
-    s = [free_sea_energy(m) for m in range(n + 1)]
-    comps, energies = [], []
-    for _, (nb, up, dn) in candidate_compositions(n):
-        comps.append((nb, up, dn))
-        energies.append(u * (s[up] + s[dn]))
-    return comps, energies
-
-
 def weak_coupling_phase(fields: FieldPoint, n: int,
                         L: float) -> PhasePoint:
     """Free-particle minimizer over all compositions (bosons at zero k)."""
-    comps, energies = _weak_table(n, L)
-    pops, _ = _minimize(comps, energies, fields)
+    pop_arr, e_arr, _ = _regime_table("weak", n, L)
+    pops = _minimize(pop_arr, e_arr, fields)
     return PhasePoint(populations=pops, label=classify(pops))
-
-
-def _strong_table(n: int, L: float
-                  ) -> tuple[list[tuple[int, int, int]], list[float]]:
-    u = (2.0 * np.pi / L) ** 2
-    e_sea = u * min(lattice_min_sum(n, 0), lattice_min_sum(n, 1))
-    comps = [pops for _, pops in candidate_compositions(n)]
-    return comps, [e_sea] * len(comps)
 
 
 def strong_coupling_phase(fields: FieldPoint, n: int,
                           L: float) -> PhasePoint:
     """Impenetrable-limit minimizer (closed form); see module docstring."""
-    comps, energies = _strong_table(n, L)
-    pops, _ = _minimize(comps, energies, fields)
+    pop_arr, e_arr, _ = _regime_table("strong", n, L)
+    pops = _minimize(pop_arr, e_arr, fields)
     return PhasePoint(populations=pops, label=classify(pops))
 
 
@@ -250,10 +221,42 @@ def sector_energy_table(c: float, n: int, L: float,
 def general_phase(c: float, fields: FieldPoint, n: int, L: float,
                   cache: Optional[dict] = None) -> PhasePoint:
     """Exact finite-coupling minimizer over admissible compositions."""
-    comps, energies, excluded = sector_energy_table(c, n, L, cache)
-    pops, _ = _minimize(comps, energies, fields)
+    pop_arr, e_arr, excluded = _regime_table("general", n, L, c, cache)
+    pops = _minimize(pop_arr, e_arr, fields)
     return PhasePoint(populations=pops, label=classify(pops),
                       excluded_sectors=excluded)
+
+
+def _regime_table(regime: str, n: int, L: float, c: float = 1.0,
+                  cache: Optional[dict] = None
+                  ) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(populations, energies, excluded sectors) of one regime's candidates."""
+    excluded: tuple = ()
+    if regime in ("weak", "strong"):
+        u = (2.0 * np.pi / L) ** 2
+        comps = [pops for _, pops in candidate_compositions(n)]
+        if regime == "weak":
+            energies = [u * (free_sea_energy(up) + free_sea_energy(dn))
+                        for _, up, dn in comps]
+        else:
+            e_sea = u * min(lattice_min_sum(n, 0), lattice_min_sum(n, 1))
+            energies = [e_sea] * len(comps)
+    elif regime == "general":
+        comps, energies, excluded = sector_energy_table(c, n, L, cache)
+    else:
+        raise ValueError(f"unknown regime {regime!r}")
+    return (np.asarray(comps, dtype=float), np.asarray(energies, dtype=float),
+            excluded)
+
+
+def _minimize(pop_arr: np.ndarray, e_arr: np.ndarray,
+              fields: FieldPoint) -> tuple[int, int, int]:
+    """Grand-energy minimizer; exact ties go to more bosons, then more
+    spin-up fermions."""
+    g = grand_energy(pop_arr.T, e_arr, fields)
+    tied = np.flatnonzero(g == g.min())
+    idx = max(tied, key=lambda i: (pop_arr[i, 0], pop_arr[i, 1]))
+    return tuple(int(v) for v in pop_arr[idx])
 
 
 def phase_scan(regime: str, ratio_values, h_values, *, c: float = 1.0,
@@ -265,31 +268,13 @@ def phase_scan(regime: str, ratio_values, h_values, *, c: float = 1.0,
     once and every grid point reduces to a vectorized minimization with
     the exact-tie preference for more bosons, then more spin-up.
     """
-    if regime == "weak":
-        comps, energies = _weak_table(n, L)
-        excluded: tuple = ()
-    elif regime == "strong":
-        comps, energies = _strong_table(n, L)
-        excluded = ()
-    elif regime == "general":
-        comps, energies, excluded = sector_energy_table(c, n, L, cache)
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
-
-    pop_arr = np.asarray(comps, dtype=float)
-    e_arr = np.asarray(energies, dtype=float)
-    n_b, up, dn = pop_arr[:, 0], pop_arr[:, 1], pop_arr[:, 2]
-    pref = n_b * (n + 1) + up  # tie-break rank: bosons first, then spin-up
-
+    pop_arr, e_arr, excluded = _regime_table(regime, n, L, c, cache)
     rows = []
     for ratio in ratio_values:
         mu_f = ratio * mu_b
         for h in h_values:
-            g = (e_arr - mu_b * n_b - mu_f * (up + dn)
-                 - 0.5 * h * (up - dn))
-            mask = g == g.min()
-            idx = int(np.argmax(np.where(mask, pref, -1.0)))
-            pops = tuple(int(v) for v in pop_arr[idx])
+            pops = _minimize(pop_arr, e_arr,
+                             FieldPoint(h=h, mu_b=mu_b, mu_f=mu_f))
             rows.append(ScanRow(ratio=float(ratio), h=float(h),
                                 n_b=pops[0], n_up=pops[1], n_down=pops[2],
                                 label=classify(pops)))

@@ -12,8 +12,12 @@ int k^2 rho0.
 
 Removing a charge root at |kbar| <= k_F (with backflow) changes the
 energy by xi_h(kbar) <= 0; flipping a boson into a fermion with
-auxiliary rapidity lambda adds the dressed energy xi_c(lambda). Both are
-solutions of the same resolvent with different right-hand sides.
+auxiliary rapidity lambda adds the dressed energy xi_c(lambda). Both
+carry a backflow energy int k^2 rho1 with (1 - K2) rho1 = f for a
+source f (a kernel column at kbar or lambda). That energy is linear in
+f: with the symmetric kernel it equals int z f, where (1 - K2) z = k^2
+is the adjoint (dressed-energy) equation. z is solved once per profile,
+so each dressed energy is one kernel evaluation and a dot product.
 
 Discretization: Gauss-Legendre Nystroem on [-k_F, k_F], node count
 doubled until the energy density is stable to the requested tolerance;
@@ -28,6 +32,7 @@ import numpy as np
 from .bae import NonConvergence
 
 _KF_TOL = 1e-12
+_ENERGY_TOL = 1e-8
 
 
 def kernel(m: float, x, c: float):
@@ -38,7 +43,11 @@ def kernel(m: float, x, c: float):
 
 @dataclass(eq=False)
 class DensityProfile:
-    """Converged ground-state root density on its quadrature grid."""
+    """Converged ground-state root density on its quadrature grid.
+
+    ``backflow_weights`` is w * z with (I - K2 w) z = k^2 on the grid, so
+    the backflow energy of a source f is ``backflow_weights @ f``.
+    """
     grid: np.ndarray
     weights: np.ndarray
     values: np.ndarray
@@ -46,6 +55,7 @@ class DensityProfile:
     energy_density: float
     density: float
     c: float
+    backflow_weights: np.ndarray
     nodes: int = field(default=0)
 
     def __post_init__(self):
@@ -54,14 +64,17 @@ class DensityProfile:
 
 
 def _nystroem(k_f: float, c: float, nodes: int
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve the ground-density equation at fixed k_F and node count."""
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Solve the ground-density equation at fixed k_F and node count.
+
+    Returns (k, wk, rho, a) with a = I - K2 w the Nystroem matrix.
+    """
     x, w = np.polynomial.legendre.leggauss(nodes)
     k = k_f * x
     wk = k_f * w
     a = np.eye(nodes) - kernel(2.0, k[:, None] - k[None, :], c) * wk[None, :]
     rho = np.linalg.solve(a, np.full(nodes, 1.0 / (2.0 * np.pi)))
-    return k, wk, rho
+    return k, wk, rho, a
 
 
 def _kf_bracket(density: float, c: float) -> float:
@@ -84,7 +97,7 @@ def _bisect_kf(density: float, c: float,
     loop rather than guessed at."""
     lo, hi = 1e-6 * density, _kf_bracket(density, c)
     def filled(k_f):
-        k, wk, rho = _nystroem(k_f, c, nodes)
+        _, wk, rho, _ = _nystroem(k_f, c, nodes)
         return float(wk @ rho)
     if filled(hi) < density:
         return hi, False
@@ -97,7 +110,8 @@ def _bisect_kf(density: float, c: float,
     return 0.5 * (lo + hi), True
 
 
-def solve_ground_density(density: float, c: float, *, tol: float = 1e-8,
+def solve_ground_density(density: float, c: float, *,
+                         tol: float = _ENERGY_TOL,
                          initial_nodes: int = 200,
                          max_nodes: int = 6400) -> DensityProfile:
     """Ground-state density profile at particle density n and coupling c.
@@ -106,6 +120,8 @@ def solve_ground_density(density: float, c: float, *, tol: float = 1e-8,
     the energy per unit length changes by less than ``tol`` relatively;
     raises NonConvergence if ``max_nodes`` is hit first.
     """
+    if not (np.isfinite(density) and np.isfinite(c)):
+        raise ValueError("density and c must be finite")
     if density <= 0 or c <= 0:
         raise ValueError("density and c must be positive")
     nodes = initial_nodes
@@ -116,25 +132,17 @@ def solve_ground_density(density: float, c: float, *, tol: float = 1e-8,
             prev_e = None  # resolution insufficient; never accept this
             nodes *= 2
             continue
-        k, wk, rho = _nystroem(k_f, c, nodes)
+        k, wk, rho, a = _nystroem(k_f, c, nodes)
         e = float(wk @ (k * k * rho))
         if prev_e is not None and abs(e - prev_e) <= tol * max(abs(e), 1e-30):
+            z = np.linalg.solve(a, k * k)
             return DensityProfile(grid=k, weights=wk, values=rho, k_f=k_f,
                                   energy_density=e, density=float(wk @ rho),
-                                  c=c, nodes=nodes)
+                                  c=c, backflow_weights=wk * z, nodes=nodes)
         prev_e = e
         nodes *= 2
     raise NonConvergence("ground density did not converge in node budget",
                          float("nan"))
-
-
-def _backflow_energy(profile: DensityProfile, rhs: np.ndarray) -> float:
-    """int k^2 rho1 with (I - K2 w) rho1 = rhs on the stored grid."""
-    k, wk = profile.grid, profile.weights
-    a = np.eye(k.size) - kernel(2.0, k[:, None] - k[None, :],
-                                profile.c) * wk[None, :]
-    rho1 = np.linalg.solve(a, rhs)
-    return float(wk @ (k * k * rho1))
 
 
 def hole_energy(profile: DensityProfile, k_bar: float) -> float:
@@ -146,10 +154,10 @@ def hole_energy(profile: DensityProfile, k_bar: float) -> float:
     if abs(k_bar) > profile.k_f * (1 + 1e-12):
         raise ValueError("k_bar must lie inside the filled interval")
     rhs = -kernel(2.0, profile.grid - k_bar, profile.c)
-    return -k_bar ** 2 + _backflow_energy(profile, rhs)
+    return -k_bar ** 2 + float(profile.backflow_weights @ rhs)
 
 
 def fermion_dressed_energy(profile: DensityProfile, lam: float) -> float:
     """Dressed energy of one auxiliary (spin) rapidity at lam."""
     rhs = -kernel(1.0, profile.grid - lam, profile.c)
-    return _backflow_energy(profile, rhs)
+    return float(profile.backflow_weights @ rhs)

@@ -7,6 +7,7 @@ closed-form. Frozen literals were produced by those oracles (or by the
 solver itself, marked regression) and are pinned at 1e-9.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,10 @@ def test_spec_rejects_bad_inputs():
         MixtureSpec("bff", 2, 0, 0, -1.0, 1.0)  # L <= 0
     with pytest.raises(InvalidConfig):
         MixtureSpec("bff", 2, 0, 0, 1.0, 0.0)   # c <= 0
+    for L, c in ((float("nan"), 1.0), (1.0, float("nan")),
+                 (float("inf"), 1.0), (1.0, float("inf"))):
+        with pytest.raises(InvalidConfig):
+            MixtureSpec("bff", 2, 0, 0, L, c)   # non-finite
 
 
 def test_populations_by_ordering():
@@ -303,6 +308,20 @@ def test_runaway_guard_unit():
     _reject_runaway(spec, np.array([1.0, 30.0]))  # physical scale: fine
     with pytest.raises(NonConvergence):
         _reject_runaway(spec, np.array([1.0, 1e12]))
+
+
+def test_runaway_line_search_emits_no_warning():
+    # a candidate of sector_energy_table(1, 6, 6) whose line-search
+    # iterates run away until the residual norm overflows; the inf norm
+    # fails the descent test without a numerical warning
+    spec = MixtureSpec("ffb", 6, 5, 4, 6.0, 1.0)
+    qn = QuantumNumberConfig((-4, -2, 0, 2, 4, 6), (-4, -2, 0, 2, 4),
+                             (0, 2, 4, 6))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonConvergence):
+            solve(spec, qn)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_non_regular_configuration_rejected():

@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+from bfmix import bae, thermo
 from bfmix.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -50,6 +51,10 @@ def test_parse_range_rejects_garbage():
         _parse_range("abc")
     with pytest.raises(ValueError):
         _parse_range("0:1")  # needs start:stop:step
+    for text in ("0:1e308:1e-300", "nan:1:0.5", "0:inf:1", "0:1:nan",
+                 "0,inf"):  # non-finite bound, count or value
+        with pytest.raises(ValueError):
+            _parse_range(text)
 
 
 def test_merge_negative_values_glues_leading_dash():
@@ -182,8 +187,11 @@ def test_manifest_written_next_to_output(tmp_path):
     assert manifest["subcommand"] == "ground"
     assert manifest["inputs"] == {"case": "ffb", "n": 4, "m": 3, "mp": 3,
                                   "L": 4.0, "c": 1.0}
-    assert manifest["threads"] == 1
-    assert "newton_tol" in manifest["tolerances"]
+    assert "threads" not in manifest
+    assert manifest["tolerances"] == {
+        "newton_tol": bae._TOL, "newton_max_steps": bae._MAX_STEPS,
+        "thermo_energy_tol": thermo._ENERGY_TOL,
+        "kf_constraint_tol": thermo._KF_TOL}
     assert "tie_break" in manifest
     # keys are sorted so the file is byte-stable
     assert text == json.dumps(manifest, sort_keys=True, indent=2) + "\n"
@@ -198,17 +206,6 @@ def test_reruns_are_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_thread_count_does_not_change_output(tmp_path, monkeypatch):
-    args = ["excite", "--case", "bff", "--n", "4", "--l", "4", "--c", "1",
-            "--family", "all"]
-    out1, out3 = tmp_path / "t1.csv", tmp_path / "t3.csv"
-    monkeypatch.setenv("BFMIX_THREADS", "1")
-    assert main(args + ["--out", str(out1)]) == EXIT_OK
-    monkeypatch.setenv("BFMIX_THREADS", "3")
-    assert main(args + ["--out", str(out3)]) == EXIT_OK
-    assert out1.read_bytes() == out3.read_bytes()
-
-
 # ----------------------------------------------------------------------------
 # exit codes
 # ----------------------------------------------------------------------------
@@ -219,6 +216,11 @@ def test_usage_errors_exit_2(capsys):
     assert main(["ground", "--case", "bff", "--n", "4", "--l", "4", "--c", "1",
                  "--bogus", "1"]) == EXIT_USAGE
     assert main(["phase", "--regime", "weak", "--ratio", "abc", "--h", "0"]) == EXIT_USAGE
+    assert main(["phase", "--regime", "weak", "--ratio", "0:1e308:1e-300",
+                 "--h", "0"]) == EXIT_USAGE
+    assert main(["ground", "--case", "bff", "--n", "2", "--l", "nan", "--c", "1"]) == EXIT_USAGE
+    assert main(["ground", "--case", "bff", "--n", "2", "--l", "2", "--c", "inf"]) == EXIT_USAGE
+    assert main(["thermo", "--density", "1", "--c", "nan"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE
     capsys.readouterr()
 

@@ -165,6 +165,10 @@ def test_input_validation_and_budget():
         solve_ground_density(0.0, 1.0)
     with pytest.raises(ValueError):
         solve_ground_density(1.0, -1.0)
+    for density, c in ((float("nan"), 1.0), (1.0, float("nan")),
+                       (1.0, float("inf")), (float("inf"), 1.0)):
+        with pytest.raises(ValueError):
+            solve_ground_density(density, c)
     with pytest.raises(NonConvergence):
         solve_ground_density(1.0, 1e-3, initial_nodes=200, max_nodes=100)
 
