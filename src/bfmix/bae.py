@@ -168,6 +168,33 @@ def required_parities(spec: MixtureSpec) -> tuple[int, int, int]:
     return (m + 1) % 2, (n + m + mp + 1) % 2, (m + 1) % 2  # ffb
 
 
+def auxiliary_bounds(spec: MixtureSpec) -> tuple[int, int]:
+    """Doubled bounds (B_lambda, B_mu) on the auxiliary quantum numbers.
+
+    Sending one lambda (or mu) to +-infinity with the other roots finite
+    turns each phase Theta_p of its equation into -+pi*sign(p), so its
+    counting function is bounded and a finite real root needs
+    |2J| < B_lambda (|2J'| < B_mu), with sigma = sign of the
+    ``_COUPLINGS`` parameter (0 where absent):
+
+      B_lambda = |N sigma(lk) + (M-1) sigma(ll) + M' sigma(lm)|
+      B_mu     = |M sigma(ml) + (M'-1) sigma(mm)|
+
+    i.e. (N-M', M-M'+1) for bff, (N-M', M) for fbf, (N-M+1+M', M) for
+    ffb. This is the Yang-Gaudin J_max (Takahashi, Thermodynamics of
+    One-Dimensional Solvable Models, CUP 1999, ch. 4 and 7).
+    """
+    cpl = _COUPLINGS[spec.case]
+
+    def sigma(key: str) -> int:
+        return 0 if cpl[key] is None else int(np.sign(cpl[key]))
+
+    b_lam = abs(spec.n * sigma("lk") + (spec.m - 1) * sigma("ll")
+                + spec.mp * sigma("lm"))
+    b_mu = abs(spec.m * sigma("ml") + (spec.mp - 1) * sigma("mm"))
+    return b_lam, b_mu
+
+
 def _check_list(name: str, values: Sequence[int], count: int, parity: int) -> None:
     if len(values) != count:
         raise InvalidConfig(f"{name} must have {count} entries, got {len(values)}")

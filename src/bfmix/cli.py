@@ -36,6 +36,7 @@ _TOLERANCES = {"newton_tol": bae._TOL, "newton_max_steps": bae._MAX_STEPS,
                "thermo_energy_tol": thermo._ENERGY_TOL,
                "kf_constraint_tol": thermo._KF_TOL}
 _TIE_BREAK = "larger N_B, then larger N_up"
+_MAX_RANGE_POINTS = 10 ** 6
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -80,7 +81,7 @@ def _manifest(subcommand: str, **inputs) -> dict:
 
 
 def _parse_range(text: str) -> list[float]:
-    """Inclusive 'start:stop:step' grid, or a comma list of values."""
+    """Inclusive 'start:stop:step' grid (at most 1e6 points), or a comma list."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -95,6 +96,9 @@ def _parse_range(text: str) -> list[float]:
             raise InvalidConfig(f"range {text!r} has no finite point count")
         if count < 1:
             raise InvalidConfig(f"empty range {text!r}")
+        if count > _MAX_RANGE_POINTS:
+            raise InvalidConfig(f"range {text!r} has more than "
+                                f"{_MAX_RANGE_POINTS} points")
         return [start + i * step for i in range(int(count))]
     values = [float(p) for p in text.split(",") if p]
     if not np.isfinite(values).all():

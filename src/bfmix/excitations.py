@@ -33,8 +33,9 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .bae import (InvalidConfig, MixtureSpec, NonConvergence, Observables,
-                  QuantumNumberConfig, RootSet, default_initial_guess,
-                  energy_momentum, required_parities, solve)
+                  QuantumNumberConfig, RootSet, auxiliary_bounds,
+                  default_initial_guess, energy_momentum, required_parities,
+                  solve)
 
 
 def _sym_run(count: int) -> tuple[int, ...]:
@@ -111,25 +112,42 @@ def sector_ground(spec: MixtureSpec, max_shift: int = 1
     Enumerates near-symmetric consecutive runs of each family (see
     :func:`_offset_runs`; a single-member family instead sweeps every
     slot of the charge window, since its minimizing position can sit at
-    the window edge), solves every combination, and returns the
-    minimizer; ties broken by smaller |P|, then lexicographically.
-    Candidates that do not converge (or converge to a non-regular
-    runaway) are skipped; raises NonConvergence if none survives. With
-    the default ``max_shift`` the minimum over candidates matches
-    exhaustive in-window enumeration for every small-N sector tested
-    (the ffb ordering in particular; bff cannot express some mixed
-    sectors with real roots at all).
+    the window edge), solves every admissible combination, and returns
+    the minimizer; ties broken by smaller |P|, then lexicographically.
+
+    A combination is admissible when every |2J| < B_lambda and every
+    |2J'| < B_mu, the bounds that the lambda, mu -> +-infinity limit of
+    each auxiliary counting function puts on a finite real root (see
+    :func:`bfmix.bae.auxiliary_bounds`; the Yang-Gaudin J_max of
+    Takahashi, Thermodynamics of One-Dimensional Solvable Models, CUP
+    1999, ch. 4 and 7). Inadmissible candidates are skipped without a
+    solve: on every sector of all three orderings at N <= 5 and
+    c = 1e-3, 1, 1e3 they are exactly the candidates that fail or run
+    away. Admissible candidates that do not converge (or converge to a
+    non-regular runaway) are skipped too; raises NonConvergence if none
+    is admissible or none survives. With the default ``max_shift`` the
+    minimum over candidates matches exhaustive in-window enumeration for
+    every small-N sector tested (the ffb ordering in particular; bff
+    cannot express some mixed sectors with real roots at all).
     """
     pi_, pj, pjp = required_parities(spec)
+    b_lam, b_mu = auxiliary_bounds(spec)
 
-    def candidates(count: int, parity: int) -> list[tuple[int, ...]]:
+    def candidates(count: int, parity: int,
+                   bound: float = np.inf) -> list[tuple[int, ...]]:
         if count == 1:
-            return [(v,) for v in _parity_values(-spec.n, spec.n, parity)]
-        return _offset_runs(count, parity, max_shift)
+            runs = [(v,) for v in _parity_values(-spec.n, spec.n, parity)]
+        else:
+            runs = _offset_runs(count, parity, max_shift)
+        return [run for run in runs if all(abs(v) < bound for v in run)]
 
-    combos = product(candidates(spec.n, pi_),
-                     candidates(spec.m, pj),
-                     candidates(spec.mp, pjp))
+    combos = list(product(candidates(spec.n, pi_),
+                          candidates(spec.m, pj, b_lam),
+                          candidates(spec.mp, pjp, b_mu)))
+    if not combos:
+        raise NonConvergence(
+            "no sector candidate has admissible auxiliary quantum numbers "
+            f"(|2J| < {b_lam}, |2J'| < {b_mu})", float("inf"))
     best = None
     for two_i, two_j, two_jp in combos:
         qn = QuantumNumberConfig(two_i, two_j, two_jp)

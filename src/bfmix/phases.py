@@ -41,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bae import MixtureSpec, NonConvergence
+from .bae import InvalidConfig, MixtureSpec, NonConvergence
 from .excitations import sector_ground
 
 
@@ -112,7 +112,8 @@ def grand_energy(populations: tuple[int, int, int], e: float,
                  fields: FieldPoint) -> float:
     """H = E - mu_B N_B - mu_f (N_up + N_down) - (h/2)(N_up - N_down).
 
-    Elementwise when the populations are three arrays and e an array.
+    Elementwise when the populations are three arrays and e an array;
+    a column array ``fields.h`` broadcasts to one row per h value.
     """
     n_b, up, dn = populations
     return (e - fields.mu_b * n_b - fields.mu_f * (up + dn)
@@ -169,17 +170,13 @@ def lattice_min_sum(count: int, parity: int) -> float:
 def weak_coupling_phase(fields: FieldPoint, n: int,
                         L: float) -> PhasePoint:
     """Free-particle minimizer over all compositions (bosons at zero k)."""
-    pop_arr, e_arr, _ = _regime_table("weak", n, L)
-    pops = _minimize(pop_arr, e_arr, fields)
-    return PhasePoint(populations=pops, label=classify(pops))
+    return _phase_point("weak", fields, n, L)
 
 
 def strong_coupling_phase(fields: FieldPoint, n: int,
                           L: float) -> PhasePoint:
     """Impenetrable-limit minimizer (closed form); see module docstring."""
-    pop_arr, e_arr, _ = _regime_table("strong", n, L)
-    pops = _minimize(pop_arr, e_arr, fields)
-    return PhasePoint(populations=pops, label=classify(pops))
+    return _phase_point("strong", fields, n, L)
 
 
 def sector_energy_table(c: float, n: int, L: float,
@@ -221,8 +218,14 @@ def sector_energy_table(c: float, n: int, L: float,
 def general_phase(c: float, fields: FieldPoint, n: int, L: float,
                   cache: Optional[dict] = None) -> PhasePoint:
     """Exact finite-coupling minimizer over admissible compositions."""
-    pop_arr, e_arr, excluded = _regime_table("general", n, L, c, cache)
-    pops = _minimize(pop_arr, e_arr, fields)
+    return _phase_point("general", fields, n, L, c, cache)
+
+
+def _phase_point(regime: str, fields: FieldPoint, n: int, L: float,
+                 c: float = 1.0, cache: Optional[dict] = None) -> PhasePoint:
+    pop_arr, e_arr, excluded = _regime_table(regime, n, L, c, cache)
+    best = _minimize(pop_arr, e_arr, fields.mu_b, fields.mu_f, [fields.h])
+    pops = tuple(best[0].tolist())
     return PhasePoint(populations=pops, label=classify(pops),
                       excluded_sectors=excluded)
 
@@ -231,6 +234,8 @@ def _regime_table(regime: str, n: int, L: float, c: float = 1.0,
                   cache: Optional[dict] = None
                   ) -> tuple[np.ndarray, np.ndarray, tuple]:
     """(populations, energies, excluded sectors) of one regime's candidates."""
+    if not (np.isfinite(L) and L > 0):
+        raise InvalidConfig(f"box length must be finite and positive, got {L}")
     excluded: tuple = ()
     if regime in ("weak", "strong"):
         u = (2.0 * np.pi / L) ** 2
@@ -249,14 +254,20 @@ def _regime_table(regime: str, n: int, L: float, c: float = 1.0,
             excluded)
 
 
-def _minimize(pop_arr: np.ndarray, e_arr: np.ndarray,
-              fields: FieldPoint) -> tuple[int, int, int]:
-    """Grand-energy minimizer; exact ties go to more bosons, then more
-    spin-up fermions."""
-    g = grand_energy(pop_arr.T, e_arr, fields)
-    tied = np.flatnonzero(g == g.min())
-    idx = max(tied, key=lambda i: (pop_arr[i, 0], pop_arr[i, 1]))
-    return tuple(int(v) for v in pop_arr[idx])
+def _minimize(pop_arr: np.ndarray, e_arr: np.ndarray, mu_b: float,
+              mu_f: float, h_values) -> np.ndarray:
+    """Grand-energy minimizers at (mu_b, mu_f), one int row per h value.
+
+    The candidates are first ordered by more bosons, then more spin-up
+    fermions, and argmin takes the first of exact ties, so ties go that
+    way. Memory is O(len(h_values) * candidates).
+    """
+    order = np.lexsort((-pop_arr[:, 1], -pop_arr[:, 0]))
+    pops = pop_arr[order]
+    h_col = np.asarray(h_values, dtype=float)[:, None]
+    g = grand_energy(pops.T, e_arr[order],
+                     FieldPoint(h=h_col, mu_b=mu_b, mu_f=mu_f))
+    return pops[np.argmin(g, axis=1)].astype(int)
 
 
 def phase_scan(regime: str, ratio_values, h_values, *, c: float = 1.0,
@@ -265,17 +276,20 @@ def phase_scan(regime: str, ratio_values, h_values, *, c: float = 1.0,
     """Classify a (ratio, h) grid; rows ordered ratio-major, h-minor.
 
     Sector energies do not depend on the fields, so they are computed
-    once and every grid point reduces to a vectorized minimization with
-    the exact-tie preference for more bosons, then more spin-up.
+    once and each ratio row reduces to one vectorized minimization over
+    its h values, with the exact-tie preference for more bosons, then
+    more spin-up.
     """
+    if not (np.isfinite(mu_b) and mu_b > 0):
+        raise InvalidConfig(
+            f"mu_b must be finite and positive when ratio is the axis, "
+            f"got {mu_b}")
     pop_arr, e_arr, excluded = _regime_table(regime, n, L, c, cache)
+    hs = [float(h) for h in h_values]
     rows = []
     for ratio in ratio_values:
-        mu_f = ratio * mu_b
-        for h in h_values:
-            pops = _minimize(pop_arr, e_arr,
-                             FieldPoint(h=h, mu_b=mu_b, mu_f=mu_f))
-            rows.append(ScanRow(ratio=float(ratio), h=float(h),
-                                n_b=pops[0], n_up=pops[1], n_down=pops[2],
-                                label=classify(pops)))
+        best = _minimize(pop_arr, e_arr, mu_b, ratio * mu_b, hs)
+        rows.extend(ScanRow(ratio=float(ratio), h=h, n_b=n_b, n_up=up,
+                            n_down=dn, label=classify((n_b, up, dn)))
+                    for h, (n_b, up, dn) in zip(hs, best.tolist()))
     return PhaseScanResult(rows=rows, excluded_sectors=excluded)

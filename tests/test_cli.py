@@ -52,7 +52,8 @@ def test_parse_range_rejects_garbage():
     with pytest.raises(ValueError):
         _parse_range("0:1")  # needs start:stop:step
     for text in ("0:1e308:1e-300", "nan:1:0.5", "0:inf:1", "0:1:nan",
-                 "0,inf"):  # non-finite bound, count or value
+                 "0,inf",  # non-finite bound, count or value
+                 "0:1e7:1"):  # over the 1e6-point cap, refused before allocating
         with pytest.raises(ValueError):
             _parse_range(text)
 
@@ -221,6 +222,14 @@ def test_usage_errors_exit_2(capsys):
     assert main(["ground", "--case", "bff", "--n", "2", "--l", "nan", "--c", "1"]) == EXIT_USAGE
     assert main(["ground", "--case", "bff", "--n", "2", "--l", "2", "--c", "inf"]) == EXIT_USAGE
     assert main(["thermo", "--density", "1", "--c", "nan"]) == EXIT_USAGE
+    grid = ["--n", "6", "--ratio", "0:1:0.5", "--h", "0"]
+    for regime in ("weak", "strong", "general"):
+        for bad_l in ("0", "-6", "inf"):  # box length must be finite, > 0
+            assert main(["phase", "--regime", regime, "--l", bad_l]
+                        + grid) == EXIT_USAGE
+        for bad_mu_b in ("0", "-1", "nan"):  # the ratio axis needs mu_b > 0
+            assert main(["phase", "--regime", regime, "--mu-b", bad_mu_b]
+                        + grid) == EXIT_USAGE
     assert main([]) == EXIT_USAGE
     capsys.readouterr()
 

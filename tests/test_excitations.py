@@ -9,17 +9,22 @@ Closed-form oracles used here:
 Frozen decimal literals are solver regressions at the stated inputs,
 cross-checked between orderings at generation time.
 """
+from itertools import product
+
 import numpy as np
 import pytest
 
 from bfmix.bae import (InvalidConfig, MixtureSpec, NonConvergence,
-                       QuantumNumberConfig, energy_momentum, solve)
+                       QuantumNumberConfig, auxiliary_bounds,
+                       energy_momentum, required_parities, solve)
 from bfmix.excitations import (AddOneFermion, GroundState, ParticleHole,
-                               TwoFermions, _offset_runs, _sym_run,
-                               add_fermion_numbers, density_histogram,
+                               TwoFermions, _offset_runs, _parity_values,
+                               _sym_run, add_fermion_numbers,
+                               density_histogram,
                                dispersion, ground_populations,
                                ground_state_numbers, particle_hole_numbers,
                                sector_ground, two_fermion_numbers)
+from bfmix.phases import young_sectors
 
 ALL_CASES = ("bff", "fbf", "ffb")
 
@@ -167,6 +172,64 @@ def test_sector_ground_reduces_to_ground_state_numbers():
         qn, _, obs = sector_ground(spec)
         assert qn == ground_state_numbers(spec)
         assert obs.E == pytest.approx(2.3227526023297775, rel=1e-9)
+
+
+@pytest.mark.parametrize("case, n, m, mp, bounds", [
+    ("bff", 6, 3, 1, (5, 3)),   # (N - M', M - M' + 1)
+    ("bff", 4, 0, 0, (4, 1)),
+    ("fbf", 6, 3, 1, (5, 3)),   # (N - M', M)
+    ("fbf", 4, 4, 0, (4, 4)),
+    ("ffb", 4, 4, 4, (5, 4)),   # (N - M + 1 + M', M)
+    ("ffb", 6, 3, 1, (5, 3)),
+    ("ffb", 5, 4, 2, (4, 4)),
+])
+def test_auxiliary_bounds_frozen(case, n, m, mp, bounds):
+    assert auxiliary_bounds(MixtureSpec(case, n, m, mp, float(n), 1.0)) \
+        == bounds
+
+
+def _unfiltered_candidates(spec: MixtureSpec):
+    """sector_ground's enumeration without the admissibility filter."""
+    def runs(count, parity):
+        if count == 1:
+            return [(v,) for v in _parity_values(-spec.n, spec.n, parity)]
+        return _offset_runs(count, parity, 1)
+    pi_, pj, pjp = required_parities(spec)
+    return product(runs(spec.n, pi_), runs(spec.m, pj), runs(spec.mp, pjp))
+
+
+def test_sector_candidates_converge_iff_admissible():
+    # the auxiliary bounds predict exactly which candidates solve: every
+    # admissible candidate converges, every pruned one fails or runs away.
+    # Specs: the ffb spec of every phase-table sector at N = 4 (ffb (4, 4)
+    # and (3, 3) among them), then the other N = 4 sectors of this module.
+    specs = [MixtureSpec("ffb", 4, 4 - m + mp, 4 - m, 4.0, 1.0)
+             for m, mp in young_sectors(4)]
+    specs += [MixtureSpec(case, 4, m, mp, 4.0, 1.0)
+              for case, m, mp in (("bff", 0, 0), ("bff", 1, 0),
+                                  ("bff", 2, 0), ("bff", 2, 1),
+                                  ("fbf", 4, 0), ("fbf", 3, 0),
+                                  ("ffb", 2, 1))]
+    counts = {True: 0, False: 0}
+    for spec in specs:
+        b_lam, b_mu = auxiliary_bounds(spec)
+        for two_i, two_j, two_jp in _unfiltered_candidates(spec):
+            admissible = (all(abs(v) < b_lam for v in two_j)
+                          and all(abs(v) < b_mu for v in two_jp))
+            try:
+                solve(spec, QuantumNumberConfig(two_i, two_j, two_jp))
+                converged = True
+            except NonConvergence:
+                converged = False
+            assert converged == admissible, (spec, two_i, two_j, two_jp)
+            counts[admissible] += 1
+    assert counts[True] > 0 and counts[False] > 0
+
+
+def test_sector_ground_without_admissible_candidate_raises():
+    # ffb N=5, M=4, M'=2: every J run reaches |2J| = 4 = B_lambda
+    with pytest.raises(NonConvergence, match="admissible"):
+        sector_ground(MixtureSpec("ffb", 5, 4, 2, 5.0, 1.0))
 
 
 # ------------------------------------------- strong-coupling closed forms

@@ -45,6 +45,7 @@ from bfmix.phases import (
     weak_coupling_phase,
     young_sectors,
 )
+from bfmix.phases import _regime_table
 
 N42 = 42
 L42 = 42.0
@@ -448,22 +449,45 @@ def test_polarized_family_undershoots_free_bound_at_tiny_coupling():
 
 
 def test_phase_scan_matches_pointwise_classifier():
+    # every regime, on a grid with h = 0, where each composition ties
+    # exactly with its spin mirror and the tie rule decides
     ratios = [0.0, 0.5, 1.0, 2.0]
     hs = [-2.0, 0.0, 1.0, 2.0]  # includes exact boundary points
-    scan = phase_scan("strong", ratios, hs, n=6, L=6.0)
-    assert isinstance(scan, PhaseScanResult)
-    assert scan.excluded_sectors == ()
-    assert len(scan.rows) == len(ratios) * len(hs)
-    k = 0
-    for r in ratios:
-        for h in hs:
-            row = scan.rows[k]
-            k += 1
-            assert isinstance(row, ScanRow)
-            assert (row.ratio, row.h) == (r, h)
-            point = strong_coupling_phase(FieldPoint.from_ratio(r, h), 6, 6.0)
-            assert (row.n_b, row.n_up, row.n_down) == point.populations
-            assert row.label == point.label
+    cache: dict = {}
+    pointwise = {
+        "strong": (6, lambda f: strong_coupling_phase(f, 6, 6.0)),
+        "weak": (6, lambda f: weak_coupling_phase(f, 6, 6.0)),
+        "general": (4, lambda f: general_phase(1.0, f, 4, 4.0, cache=cache)),
+    }
+    for regime, (n, classifier) in pointwise.items():
+        scan = phase_scan(regime, ratios, hs, c=1.0, n=n, L=float(n),
+                          cache=cache)
+        assert isinstance(scan, PhaseScanResult)
+        assert len(scan.rows) == len(ratios) * len(hs)
+        pops_arr, energies, excluded = _regime_table(regime, n, float(n),
+                                                     1.0, cache)
+        assert scan.excluded_sectors == excluded
+        if regime != "general":
+            assert excluded == ()
+        k = 0
+        for r in ratios:
+            for h in hs:
+                row = scan.rows[k]
+                k += 1
+                assert isinstance(row, ScanRow)
+                assert (row.ratio, row.h) == (r, h)
+                fields = FieldPoint.from_ratio(r, h)
+                point = classifier(fields)
+                pops = (row.n_b, row.n_up, row.n_down)
+                assert pops == point.populations
+                assert row.label == point.label
+                # independent tie rule: the largest (N_B, N_up) among the
+                # candidates of minimal grand energy
+                g = [grand_energy(tuple(p), e, fields)
+                     for p, e in zip(pops_arr, energies)]
+                tied = [tuple(int(v) for v in p)
+                        for p, gv in zip(pops_arr, g) if gv == min(g)]
+                assert pops == max(tied, key=lambda t: (t[0], t[1]))
 
 
 def test_phase_scan_weak_boundary_rows():
