@@ -15,7 +15,9 @@ mu_1..mu_M'. With Theta_n(x) = -2*arctan(x/(n*c)) the residuals are
 where the half-integer parameters (a..h) of each sum depend on the
 ordering (see ``_COUPLINGS``; absent terms have parameter None). The
 self-referential summands (l = j etc.) are Theta(0) = 0 identically and
-contribute nothing to residuals or derivatives.
+contribute nothing to residuals or derivatives. Residual and Jacobian
+read one table of these parameters over the stacked roots
+x = (k, lambda, mu) (see ``_coupling_table``).
 
 Quantum numbers I, J, J' are integers or half-odd integers; they are
 stored *doubled* (2I etc.) as exact ints. Whether a family is integer-
@@ -30,6 +32,7 @@ asymptotic-lattice seed is nearly exact.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -216,48 +219,46 @@ def validate(spec: MixtureSpec, qn: QuantumNumberConfig) -> None:
     _check_list("2J'", qn.two_jp, spec.mp, pjp)
 
 
-def _pair_sum(par: Optional[float], left: np.ndarray, right: np.ndarray,
-              c: float) -> np.ndarray:
-    """sum_r Theta_par(left_i - right_r), vectorized over i."""
-    if par is None or left.size == 0 or right.size == 0:
-        return np.zeros(left.shape)
+@functools.lru_cache(maxsize=8)
+def _coupling_table(case: str, n: int, m: int,
+                    mp: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (par, present) over the stacked roots x = (k, lambda, mu).
+
+    par[i, j] is the ``_COUPLINGS`` parameter of the pair (1.0 where
+    absent); present[i, j] says whether Theta_par(x_i - x_j) enters row
+    i's equation, false for absent terms and on the diagonal.
+    """
+    cpl = _COUPLINGS[case]
+    family = np.repeat(np.arange(3), (n, m, mp))
+    par = np.array([[cpl.get(a + b) for b in "klm"] for a in "klm"],
+                   dtype=float)[family[:, None], family[None, :]]
+    present = ~np.isnan(par) & ~np.eye(family.size, dtype=bool)
+    par = np.where(present, par, 1.0)
+    par.setflags(write=False)
+    present.setflags(write=False)
+    return par, present
+
+
+def _pair_terms(phase, spec: MixtureSpec, x: np.ndarray) -> np.ndarray:
+    """phase(par, x_i - x_j, c) where present, else exactly 0.
+
+    The mask, not a zero scale, removes absent pairs, so they stay 0
+    when a diverging iterate makes the phase inf or NaN.
+    """
+    par, present = _coupling_table(spec.case, spec.n, spec.m, spec.mp)
     with np.errstate(invalid="ignore"):  # inf - inf on diverging iterates
-        diff = left[:, None] - right[None, :]
-    return theta(par, diff, c).sum(axis=1)
+        diff = x[:, None] - x[None, :]
+    return np.where(present, phase(par, diff, spec.c), 0.0)
 
 
 def residual(spec: MixtureSpec, qn: QuantumNumberConfig,
              roots: RootSet) -> np.ndarray:
     """Stacked residuals (F, G, H) of the logarithmic equations."""
-    cpl = _COUPLINGS[spec.case]
-    c, L = spec.c, spec.L
-    k, lam, mu = roots.k, roots.lam, roots.mu
-    two_i = np.asarray(qn.two_i, dtype=float)
-    two_j = np.asarray(qn.two_j, dtype=float)
-    two_jp = np.asarray(qn.two_jp, dtype=float)
-
-    f = (k * L - np.pi * two_i
-         - _pair_sum(cpl["kk"], k, k, c)
-         - _pair_sum(cpl["kl"], k, lam, c))
-    g = (np.pi * two_j
-         - _pair_sum(cpl["lk"], lam, k, c)
-         - _pair_sum(cpl["ll"], lam, lam, c)
-         - _pair_sum(cpl["lm"], lam, mu, c))
-    h = (np.pi * two_jp
-         - _pair_sum(cpl["ml"], mu, lam, c)
-         - _pair_sum(cpl["mm"], mu, mu, c))
-    return np.concatenate([f, g, h])
-
-
-def _block(par: Optional[float], left: np.ndarray, right: np.ndarray,
-           c: float, same: bool) -> np.ndarray:
-    """theta_prime matrix for one pairwise sum; zeroed diagonal if same."""
-    if par is None or left.size == 0 or right.size == 0:
-        return np.zeros((left.size, right.size))
-    t = theta_prime(par, left[:, None] - right[None, :], c)
-    if same:
-        np.fill_diagonal(t, 0.0)
-    return t
+    x = _stack(roots)
+    r = np.pi * np.array([-v for v in qn.two_i] + list(qn.two_j)
+                         + list(qn.two_jp), dtype=float)
+    r[:spec.n] += x[:spec.n] * spec.L
+    return r - _pair_terms(theta, spec, x).sum(axis=1)
 
 
 def jacobian(spec: MixtureSpec, qn: QuantumNumberConfig,
@@ -270,39 +271,10 @@ def jacobian(spec: MixtureSpec, qn: QuantumNumberConfig,
     (the l = j summand is the constant Theta(0)), so an isolated free
     particle has Jacobian [L].
     """
-    cpl = _COUPLINGS[spec.case]
-    c, L = spec.c, spec.L
-    k, lam, mu = roots.k, roots.lam, roots.mu
-    n, m, mp = k.size, lam.size, mu.size
-
-    kk = _block(cpl["kk"], k, k, c, same=True)
-    kl = _block(cpl["kl"], k, lam, c, same=False)
-    lk = _block(cpl["lk"], lam, k, c, same=False)
-    ll = _block(cpl["ll"], lam, lam, c, same=True)
-    lm = _block(cpl["lm"], lam, mu, c, same=False)
-    ml = _block(cpl["ml"], mu, lam, c, same=False)
-    mm = _block(cpl["mm"], mu, mu, c, same=True)
-
-    jac = np.zeros((n + m + mp, n + m + mp))
-    sl_k = slice(0, n)
-    sl_l = slice(n, n + m)
-    sl_m = slice(n + m, n + m + mp)
-
-    jac[sl_k, sl_k] = kk
-    jac[sl_k, sl_l] = kl
-    jac[sl_k, sl_k][np.diag_indices(n)] = L - kk.sum(axis=1) - kl.sum(axis=1)
-
-    if m:
-        jac[sl_l, sl_k] = lk
-        jac[sl_l, sl_l] = ll
-        jac[sl_l, sl_m] = lm
-        jac[sl_l, sl_l][np.diag_indices(m)] = (
-            -lk.sum(axis=1) - ll.sum(axis=1) - lm.sum(axis=1))
-    if mp:
-        jac[sl_m, sl_l] = ml
-        jac[sl_m, sl_m] = mm
-        jac[sl_m, sl_m][np.diag_indices(mp)] = (
-            -ml.sum(axis=1) - mm.sum(axis=1))
+    jac = _pair_terms(theta_prime, spec, _stack(roots))
+    diag = -jac.sum(axis=1)
+    diag[:spec.n] += spec.L
+    np.fill_diagonal(jac, diag)
     return jac
 
 
@@ -318,6 +290,11 @@ def default_initial_guess(spec: MixtureSpec,
     lam0 = np.linspace(lo, hi, m + 2)[1:-1] if m else np.zeros(0)
     mu0 = np.linspace(lo, hi, mp + 2)[1:-1] if mp else np.zeros(0)
     return RootSet(k=k0, lam=lam0, mu=mu0)
+
+
+def _stack(roots: RootSet) -> np.ndarray:
+    """The stacked root vector x = (k, lambda, mu), as floats."""
+    return np.concatenate([roots.k, roots.lam, roots.mu], dtype=float)
 
 
 def _split(spec: MixtureSpec, x: np.ndarray) -> RootSet:
@@ -396,12 +373,8 @@ def solve(spec: MixtureSpec, qn: QuantumNumberConfig,
     by root monotonicity).
     """
     validate(spec, qn)
-    if init is not None:
-        x0 = np.concatenate([init.k, init.lam, init.mu]).astype(float)
-    else:
-        g = default_initial_guess(spec, qn)
-        x0 = np.concatenate([g.k, g.lam, g.mu])
-    direct_error: Optional[NonConvergence] = None
+    x0 = _stack(init if init is not None
+                else default_initial_guess(spec, qn))
     try:
         x = _newton(spec, qn, x0)
         _reject_runaway(spec, x)
@@ -416,9 +389,7 @@ def solve(spec: MixtureSpec, qn: QuantumNumberConfig,
         while c_path[-1] * 1.6 < spec.c:
             c_path.append(c_path[-1] * 1.6)
     c_path.append(spec.c)
-    stage = spec.replace_c(c_path[0])
-    g = default_initial_guess(stage, qn)
-    x = np.concatenate([g.k, g.lam, g.mu])
+    x = _stack(default_initial_guess(spec.replace_c(c_path[0]), qn))
     try:
         for c_k in c_path:
             stage = spec.replace_c(c_k)

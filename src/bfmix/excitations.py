@@ -28,13 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .bae import (InvalidConfig, MixtureSpec, NonConvergence, Observables,
-                  QuantumNumberConfig, RootSet, auxiliary_bounds,
-                  default_initial_guess, energy_momentum, required_parities,
+                  QuantumNumberConfig, RootSet, _split, _stack,
+                  auxiliary_bounds, energy_momentum, required_parities,
                   solve)
 
 
@@ -105,30 +105,19 @@ def ground_state_numbers(spec: MixtureSpec) -> QuantumNumberConfig:
     return QuantumNumberConfig(*runs)
 
 
-def sector_ground(spec: MixtureSpec, max_shift: int = 1
-                  ) -> tuple[QuantumNumberConfig, RootSet, Observables]:
-    """Lowest-energy consecutive-run configuration of a (M, M') sector.
+def _mirror(combo: tuple[tuple[int, ...], ...]
+            ) -> tuple[tuple[int, ...], ...]:
+    """Every quantum number negated, each family ascending again."""
+    return tuple(tuple(-v for v in reversed(run)) for run in combo)
 
-    Enumerates near-symmetric consecutive runs of each family (see
-    :func:`_offset_runs`; a single-member family instead sweeps every
-    slot of the charge window, since its minimizing position can sit at
-    the window edge), solves every admissible combination, and returns
-    the minimizer; ties broken by smaller |P|, then lexicographically.
 
-    A combination is admissible when every |2J| < B_lambda and every
-    |2J'| < B_mu, the bounds that the lambda, mu -> +-infinity limit of
-    each auxiliary counting function puts on a finite real root (see
-    :func:`bfmix.bae.auxiliary_bounds`; the Yang-Gaudin J_max of
-    Takahashi, Thermodynamics of One-Dimensional Solvable Models, CUP
-    1999, ch. 4 and 7). Inadmissible candidates are skipped without a
-    solve: on every sector of all three orderings at N <= 5 and
-    c = 1e-3, 1, 1e3 they are exactly the candidates that fail or run
-    away. Admissible candidates that do not converge (or converge to a
-    non-regular runaway) are skipped too; raises NonConvergence if none
-    is admissible or none survives. With the default ``max_shift`` the
-    minimum over candidates matches exhaustive in-window enumeration for
-    every small-N sector tested (the ffb ordering in particular; bff
-    cannot express some mixed sectors with real roots at all).
+def _sector_candidates(spec: MixtureSpec, max_shift: int = 1
+                       ) -> list[tuple[tuple[int, ...], ...]]:
+    """Admissible (2I, 2J, 2J') combinations of :func:`sector_ground`.
+
+    The set is closed under :func:`_mirror`: the run shifts, the
+    single-member sweep and the bounds are all symmetric about zero.
+    Raises NonConvergence when no combination is admissible.
     """
     pi_, pj, pjp = required_parities(spec)
     b_lam, b_mu = auxiliary_bounds(spec)
@@ -148,15 +137,48 @@ def sector_ground(spec: MixtureSpec, max_shift: int = 1
         raise NonConvergence(
             "no sector candidate has admissible auxiliary quantum numbers "
             f"(|2J| < {b_lam}, |2J'| < {b_mu})", float("inf"))
+    return combos
+
+
+def sector_ground(spec: MixtureSpec, max_shift: int = 1
+                  ) -> tuple[QuantumNumberConfig, RootSet, Observables]:
+    """Lowest-energy consecutive-run configuration of a (M, M') sector.
+
+    Enumerates near-symmetric consecutive runs of each family (see
+    :func:`_offset_runs`; a single-member family instead sweeps every
+    slot of the charge window, since its minimizing position can sit at
+    the window edge), solves every admissible combination, and returns
+    the minimizer; ties broken by smaller |P|, then lexicographically.
+    A combination and its mirror (every quantum number negated) have the
+    same E and |P| by reflection symmetry, so only the lexicographically
+    smaller one, which wins the tie, is solved.
+
+    A combination is admissible when every |2J| < B_lambda and every
+    |2J'| < B_mu, the bounds that the lambda, mu -> +-infinity limit of
+    each auxiliary counting function puts on a finite real root (see
+    :func:`bfmix.bae.auxiliary_bounds`; the Yang-Gaudin J_max of
+    Takahashi, Thermodynamics of One-Dimensional Solvable Models, CUP
+    1999, ch. 4 and 7). Inadmissible candidates are skipped without a
+    solve: on every sector of all three orderings at N <= 5 and
+    c = 1e-3, 1, 1e3 they are exactly the candidates that fail or run
+    away. Admissible candidates that do not converge (or converge to a
+    non-regular runaway) are skipped too; raises NonConvergence if none
+    is admissible or none survives. With the default ``max_shift`` the
+    minimum over candidates matches exhaustive in-window enumeration for
+    every small-N sector tested (the ffb ordering in particular; bff
+    cannot express some mixed sectors with real roots at all).
+    """
     best = None
-    for two_i, two_j, two_jp in combos:
-        qn = QuantumNumberConfig(two_i, two_j, two_jp)
+    for combo in _sector_candidates(spec, max_shift):
+        if _mirror(combo) < combo:
+            continue
+        qn = QuantumNumberConfig(*combo)
         try:
             roots = solve(spec, qn)
         except NonConvergence:
             continue
         obs = energy_momentum(spec, qn, roots)
-        key = (obs.E, abs(obs.P), two_i, two_j, two_jp)
+        key = (obs.E, abs(obs.P), combo)
         if best is None or key < best[0]:
             best = (key, qn, roots, obs)
     if best is None:
@@ -381,18 +403,15 @@ def dispersion(spec: MixtureSpec,
     for params, sub, qn in entries:
         init = None
         if prev is not None and prev.size == sub.n + sub.m + sub.mp:
-            init = RootSet(k=prev[:sub.n],
-                           lam=prev[sub.n:sub.n + sub.m],
-                           mu=prev[sub.n + sub.m:])
+            init = _split(sub, prev)
         try:
             roots = solve(sub, qn, init=init)
         except NonConvergence:
             try:
                 roots = solve(sub, qn)  # retry cold
             except NonConvergence:
-                obs_p = energy_momentum(sub, qn, RootSet(
-                    k=np.zeros(sub.n), lam=np.zeros(sub.m),
-                    mu=np.zeros(sub.mp))).P
+                zeros = _split(sub, np.zeros(sub.n + sub.m + sub.mp))
+                obs_p = energy_momentum(sub, qn, zeros).P
                 points.append(DispersionPoint(p=obs_p, de=float("nan"),
                                               status="failed", params=params))
                 prev = None
@@ -400,7 +419,7 @@ def dispersion(spec: MixtureSpec,
         obs = energy_momentum(sub, qn, roots)
         points.append(DispersionPoint(p=obs.P, de=obs.E - e0,
                                       status="ok", params=params))
-        prev = np.concatenate([roots.k, roots.lam, roots.mu])
+        prev = _stack(roots)
     return points
 
 

@@ -36,7 +36,7 @@ F (equal spin populations, no bosons), F1F2 (unequal, no bosons).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -260,13 +260,18 @@ def _minimize(pop_arr: np.ndarray, e_arr: np.ndarray, mu_b: float,
 
     The candidates are first ordered by more bosons, then more spin-up
     fermions, and argmin takes the first of exact ties, so ties go that
-    way. Memory is O(len(h_values) * candidates).
+    way. Memory is O(len(h_values) * candidates). Fields so large that a
+    grand energy overflows cannot be compared and raise InvalidConfig.
     """
     order = np.lexsort((-pop_arr[:, 1], -pop_arr[:, 0]))
     pops = pop_arr[order]
     h_col = np.asarray(h_values, dtype=float)[:, None]
-    g = grand_energy(pops.T, e_arr[order],
-                     FieldPoint(h=h_col, mu_b=mu_b, mu_f=mu_f))
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = grand_energy(pops.T, e_arr[order],
+                         FieldPoint(h=h_col, mu_b=mu_b, mu_f=mu_f))
+    if not np.isfinite(g).all():
+        raise InvalidConfig(f"grand energy overflows at mu_b = {mu_b}, "
+                            f"mu_f = {mu_f} and the given h values")
     return pops[np.argmin(g, axis=1)].astype(int)
 
 

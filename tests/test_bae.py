@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bfmix.bae import (InvalidConfig, MixtureSpec, NonConvergence,
-                       QuantumNumberConfig, RootSet, _reject_runaway,
+from bfmix.bae import (_COUPLINGS, InvalidConfig, MixtureSpec,
+                       NonConvergence, QuantumNumberConfig, RootSet,
+                       _reject_runaway,
                        default_initial_guess, energy_momentum, jacobian,
                        required_parities, residual, solve, theta,
                        theta_prime, validate)
@@ -150,6 +151,67 @@ def test_two_boson_frozen_energy():
     qn = ground_state_numbers(spec)
     obs = energy_momentum(spec, qn, solve(spec, qn))
     assert obs.E == pytest.approx(1.8439253471792492, rel=1e-11)
+
+
+# ------------------------------------------------------------ residual
+
+def _loop_residual(spec, qn, roots):
+    """The module docstring's F, G, H term by term, and each row's scale.
+
+    One sum per ``_COUPLINGS`` key; Theta_n(x) = -2 atan(x / (n c)). The
+    scale of a row is the sum of the absolute values of its terms.
+    """
+    cpl = _COUPLINGS[spec.case]
+    k, lam, mu = roots.k.tolist(), roots.lam.tolist(), roots.mu.tolist()
+
+    def phases(key, x, others):
+        if cpl[key] is None:
+            return []
+        return [-2.0 * math.atan((x - y) / (cpl[key] * spec.c))
+                for y in others]
+
+    rows = []
+    for kj, two_i in zip(k, qn.two_i):
+        rows.append(([kj * spec.L, -math.pi * two_i],
+                     phases("kk", kj, k) + phases("kl", kj, lam)))
+    for lg, two_j in zip(lam, qn.two_j):
+        rows.append(([math.pi * two_j], phases("lk", lg, k)
+                     + phases("ll", lg, lam) + phases("lm", lg, mu)))
+    for ms, two_jp in zip(mu, qn.two_jp):
+        rows.append(([math.pi * two_jp],
+                     phases("ml", ms, lam) + phases("mm", ms, mu)))
+    value = [sum(base) - sum(sums) for base, sums in rows]
+    scale = [sum(map(abs, base + sums)) for base, sums in rows]
+    return np.array(value), np.array(scale)
+
+
+@st.composite
+def _equations(draw):
+    case = draw(st.sampled_from(ALL_CASES))
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(0, n))
+    mp = draw(st.integers(0, m))
+    spec = MixtureSpec(case, n, m, mp, draw(st.floats(0.5, 50.0)),
+                       draw(st.floats(1e-3, 1e3)))
+
+    def family(count, values):
+        return draw(st.lists(values, min_size=count, max_size=count))
+
+    qn = QuantumNumberConfig(*(tuple(family(count, st.integers(-20, 20)))
+                               for count in (n, m, mp)))
+    roots = RootSet(*(np.array(family(count, st.floats(-5.0, 5.0)))
+                      for count in (n, m, mp)))
+    return spec, qn, roots
+
+
+@settings(max_examples=60, deadline=None)
+@given(_equations())
+def test_residual_matches_loop_reference(equations):
+    spec, qn, roots = equations
+    want, scale = _loop_residual(spec, qn, roots)
+    got = residual(spec, qn, roots)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 # ------------------------------------------------------------ Jacobian

@@ -95,12 +95,14 @@ def test_ground_writes_numbers_roots_and_observables(tmp_path):
     for line in rows:
         kind, idx, value = line.split(",")
         table.setdefault(kind, []).append(float(value))
-    assert table["two_i"] == [-2.0, 0.0, 2.0, 4.0]
-    assert table["two_j"] == [-3.0, -1.0, 1.0]
+    # of the two mirror-image minima (equal E and |P|) the tie rule picks
+    # the lexicographically smaller quantum numbers
+    assert table["two_i"] == [-4.0, -2.0, 0.0, 2.0]
+    assert table["two_j"] == [-1.0, 1.0, 3.0]
     assert table["two_jp"] == [-2.0, 0.0, 2.0]
     assert len(table["k"]) == 4 and len(table["lam"]) == 3 and len(table["mu"]) == 3
     assert table["E"][0] == pytest.approx(2.9034245354728134, rel=1e-12)
-    assert table["P"][0] == pytest.approx(0.7853981633974483, rel=1e-12)
+    assert table["P"][0] == pytest.approx(-0.7853981633974483, rel=1e-12)
 
 
 def test_ground_without_out_prints_to_stdout(capsys):
@@ -222,6 +224,9 @@ def test_usage_errors_exit_2(capsys):
     assert main(["ground", "--case", "bff", "--n", "2", "--l", "nan", "--c", "1"]) == EXIT_USAGE
     assert main(["ground", "--case", "bff", "--n", "2", "--l", "2", "--c", "inf"]) == EXIT_USAGE
     assert main(["thermo", "--density", "1", "--c", "nan"]) == EXIT_USAGE
+    # fields so large that the grand energy overflows cannot be compared
+    assert main(["phase", "--regime", "weak", "--n", "6", "--l", "6",
+                 "--ratio", "1e308", "--h", "1e308,-1e308"]) == EXIT_USAGE
     grid = ["--n", "6", "--ratio", "0:1:0.5", "--h", "0"]
     for regime in ("weak", "strong", "general"):
         for bad_l in ("0", "-6", "inf"):  # box length must be finite, > 0

@@ -13,12 +13,14 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bfmix.bae import (InvalidConfig, MixtureSpec, NonConvergence,
                        QuantumNumberConfig, auxiliary_bounds,
-                       energy_momentum, required_parities, solve)
+                       energy_momentum, required_parities, residual, solve)
 from bfmix.excitations import (AddOneFermion, GroundState, ParticleHole,
-                               TwoFermions, _offset_runs, _parity_values,
+                               TwoFermions, _mirror, _offset_runs,
+                               _parity_values, _sector_candidates,
                                _sym_run, add_fermion_numbers,
                                density_histogram,
                                dispersion, ground_populations,
@@ -224,6 +226,51 @@ def test_sector_candidates_converge_iff_admissible():
             assert converged == admissible, (spec, two_i, two_j, two_jp)
             counts[admissible] += 1
     assert counts[True] > 0 and counts[False] > 0
+
+
+def test_sector_candidates_closed_under_mirror():
+    # sector_ground solves one member of each mirror pair, which is only
+    # sound when the mirror of every candidate is a candidate too
+    assert _mirror(((-3, -1, 1), (0, 2), ())) == ((-1, 1, 3), (-2, 0), ())
+    checked = 0
+    for case in ALL_CASES:
+        for n in range(1, 7):
+            for m in range(n + 1):
+                for mp in range(m + 1):
+                    spec = MixtureSpec(case, n, m, mp, float(n), 1.0)
+                    try:
+                        combos = _sector_candidates(spec)
+                    except NonConvergence:
+                        continue
+                    assert {_mirror(x) for x in combos} == set(combos)
+                    checked += 1
+    assert checked > 50
+
+
+def test_sector_ground_mirror_tie_goes_lexicographic():
+    # the minimum and its mirror have the same E and |P|; the tie rule
+    # picks the lexicographically smaller quantum numbers, whichever of
+    # the two solves happens to round lower
+    qn, _, obs = sector_ground(MixtureSpec("fbf", 7, 4, 1, 7.0, 3.0))
+    assert qn == QuantumNumberConfig((-7, -5, -3, -1, 1, 3, 5),
+                                     (-1, 1, 3, 5), (3,))
+    assert obs.E == pytest.approx(10.883905356709922, rel=1e-12)
+    assert obs.P == pytest.approx(-0.8975979010256552, rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from(ALL_CASES), n=st.integers(1, 4),
+       data=st.data(), c=st.floats(0.01, 100.0), L=st.floats(1.0, 10.0))
+def test_sector_ground_roots_meet_tolerance(case, n, data, c, L):
+    m = data.draw(st.integers(0, n), label="m")
+    mp = data.draw(st.integers(0, m), label="mp")
+    spec = MixtureSpec(case, n, m, mp, L, c)
+    try:
+        qn, roots, obs = sector_ground(spec)
+    except NonConvergence:
+        return  # no real-root candidate in this sector
+    assert np.abs(residual(spec, qn, roots)).max() < 1e-10
+    assert obs.P == pytest.approx(float(roots.k.sum()), rel=1e-8, abs=1e-8)
 
 
 def test_sector_ground_without_admissible_candidate_raises():
