@@ -210,6 +210,9 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_thermo(args) -> int:
+    if not 0 <= args.xi_points <= _MAX_RANGE_POINTS:
+        raise InvalidConfig(
+            f"--xi-points must lie in [0, {_MAX_RANGE_POINTS}]")
     profile = thermo.solve_ground_density(args.density, args.c)
     rows = [("k_f", 0.0, profile.k_f),
             ("energy_density", 0.0, profile.energy_density)]

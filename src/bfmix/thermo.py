@@ -20,11 +20,16 @@ is the adjoint (dressed-energy) equation. z is solved once per profile,
 so each dressed energy is one kernel evaluation and a dot product.
 
 Discretization: Gauss-Legendre Nystroem on [-k_F, k_F], node count
-doubled until the energy density is stable to the requested tolerance;
-k_F re-bisected at every refinement.
+doubled until the energy density is stable to the requested tolerance.
+The quadrature rule is computed once per node count and cached. At each
+node count k_F is found by a safeguarded Brent search on the density
+constraint, started from a narrow bracket around the previous level's
+k_F and falling back to the full bracket when that misses the root.
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +37,8 @@ import numpy as np
 from .bae import NonConvergence
 
 _KF_TOL = 1e-12
+_WARM_WIDTH = 1e-6  # relative half-width of the warm-start k_F bracket
+_EPS = float(np.finfo(float).eps)
 _ENERGY_TOL = 1e-8
 
 
@@ -63,13 +70,23 @@ class DensityProfile:
             self.nodes = self.grid.size
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]; one rule per
+    node count (200 ... 6400 under node doubling), never the matrix."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _nystroem(k_f: float, c: float, nodes: int
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Solve the ground-density equation at fixed k_F and node count.
 
     Returns (k, wk, rho, a) with a = I - K2 w the Nystroem matrix.
     """
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _gauss_legendre(nodes)
     k = k_f * x
     wk = k_f * w
     a = np.eye(nodes) - kernel(2.0, k[:, None] - k[None, :], c) * wk[None, :]
@@ -82,32 +99,93 @@ def _kf_bracket(density: float, c: float) -> float:
     solved density obeys rho >= 1/(2 pi), so the integral at pi*n
     already reaches n), and a generous multiple of the weak-coupling
     semicircle radius 2*sqrt(c*n) when that is smaller. Keeping the
-    bracket at the physical scale keeps every bisection probe within
-    the resolvable range of the quadrature."""
+    bracket at the physical scale keeps every probe within the
+    resolvable range of the quadrature."""
     return min(np.pi * density,
                2.5 * np.sqrt(c * density) + 3.0 * c) * (1.0 + 1e-9)
 
 
-def _bisect_kf(density: float, c: float,
-               nodes: int) -> tuple[float, bool]:
-    """(k_F, bracketed) with integrated density = target, at fixed
-    resolution. When the resolution is too coarse for the kernel the
-    integrated density at the bracket top can fall short; that is
-    reported as bracketed=False and left to the caller's node-doubling
-    loop rather than guessed at."""
-    lo, hi = 1e-6 * density, _kf_bracket(density, c)
-    def filled(k_f):
-        _, wk, rho, _ = _nystroem(k_f, c, nodes)
-        return float(wk @ rho)
-    if filled(hi) < density:
-        return hi, False
-    while hi - lo > _KF_TOL * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if filled(mid) < density:
-            lo = mid
+def _bisect_kf(density: float, c: float, nodes: int,
+               guess: float | None = None) -> tuple[float, bool, tuple | None]:
+    """(k_F, bracketed, probe) with integrated density = target, at fixed
+    resolution.
+
+    Named for the bisection it replaced: this is a Brent-Dekker search
+    (Brent 1973, ch. 4) on filled(k_F) - n. It takes secant or
+    inverse-quadratic steps, written in ratios of residuals so that
+    nothing underflows at tiny densities, and bisects whenever a step
+    leaves the bracket or the bracket has not halved within two steps.
+    It stops once the bracket is narrower than ``_KF_TOL`` times its
+    full top, a relative tolerance at every density.
+
+    ``guess`` (k_F of the previous node level) is tried first inside
+    guess * (1 -/+ ``_WARM_WIDTH``). If that does not straddle the root,
+    the search falls back to the full bracket [0, _kf_bracket]; filled(0)
+    = 0, so its lower end costs no probe.
+
+    When the resolution is too coarse for the kernel the integrated
+    density at the full bracket top can fall short; that is reported as
+    bracketed=False and left to the caller's node-doubling loop rather
+    than guessed at. ``probe`` is the ``_nystroem`` result at k_F when
+    the last probe was made there, else None.
+    """
+    top = _kf_bracket(density, c)
+    tol = _KF_TOL * top
+    last = None
+
+    def excess(k_f):
+        nonlocal last
+        last = None  # hold at most one N x N matrix at a time
+        last = k_f, _nystroem(k_f, c, nodes)
+        _, wk, rho, _ = last[1]
+        return float(wk @ rho) - density
+
+    a, fa, b, fb = 0.0, -density, None, None
+    if guess is not None:
+        lo, hi = guess * (1.0 - _WARM_WIDTH), guess * (1.0 + _WARM_WIDTH)
+        f_lo, f_hi = excess(lo), excess(hi)
+        if f_lo < 0.0 <= f_hi:
+            a, fa, b, fb = lo, f_lo, hi, f_hi
+    if b is None:
+        b, fb = top, excess(top)
+        if fb < 0.0:
+            return float(top), False, None
+    # Brent's zeroin: b is the best estimate, a the previous one, and the
+    # root lies between b and the contrapoint cp.
+    cp, f_cp = a, fa
+    step = last_step = b - a
+    while True:
+        if (fb < 0.0) == (f_cp < 0.0):
+            cp, f_cp = a, fa
+            step = last_step = b - a
+        if abs(f_cp) < abs(fb):
+            a, fa, b, fb, cp, f_cp = b, fb, cp, f_cp, b, fb
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
+        half = 0.5 * (cp - b)
+        if abs(half) <= tol1 or fb == 0.0:
+            probe = last[1] if last is not None and last[0] == b else None
+            return float(b), True, probe
+        if abs(last_step) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == cp:  # secant through a and b: b + (b - a) fb / (fa - fb)
+                p, q = 2.0 * half * s, 1.0 - s
+            else:  # inverse quadratic through a, b and cp
+                q, r = fa / f_cp, fb / f_cp
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * half * q - abs(tol1 * q),
+                             abs(last_step * q)):
+                last_step, step = step, p / q
+            else:
+                last_step = step = half
         else:
-            hi = mid
-    return 0.5 * (lo + hi), True
+            last_step = step = half
+        a, fa = b, fb
+        b += step if abs(step) > tol1 else math.copysign(tol1, half)
+        fb = excess(b)
 
 
 def solve_ground_density(density: float, c: float, *,
@@ -118,21 +196,22 @@ def solve_ground_density(density: float, c: float, *,
 
     Doubles the Gauss-Legendre node count from ``initial_nodes`` until
     the energy per unit length changes by less than ``tol`` relatively;
-    raises NonConvergence if ``max_nodes`` is hit first.
+    raises NonConvergence if ``max_nodes`` is hit first. Each level's
+    k_F search starts from the previous level's k_F.
     """
     if not (np.isfinite(density) and np.isfinite(c)):
         raise ValueError("density and c must be finite")
     if density <= 0 or c <= 0:
         raise ValueError("density and c must be positive")
     nodes = initial_nodes
-    prev_e = None
+    prev_e = k_f = None
     while nodes <= max_nodes:
-        k_f, bracketed = _bisect_kf(density, c, nodes)
+        k_f, bracketed, probe = _bisect_kf(density, c, nodes, k_f)
         if not bracketed:
-            prev_e = None  # resolution insufficient; never accept this
+            prev_e = k_f = None  # resolution insufficient; never accept this
             nodes *= 2
             continue
-        k, wk, rho, a = _nystroem(k_f, c, nodes)
+        k, wk, rho, a = probe or _nystroem(k_f, c, nodes)
         e = float(wk @ (k * k * rho))
         if prev_e is not None and abs(e - prev_e) <= tol * max(abs(e), 1e-30):
             z = np.linalg.solve(a, k * k)
@@ -151,6 +230,8 @@ def hole_energy(profile: DensityProfile, k_bar: float) -> float:
     Non-positive; -k_bar^2 in the impenetrable limit. Requires
     |k_bar| <= k_F.
     """
+    if not np.isfinite(k_bar):
+        raise ValueError("k_bar must be finite")
     if abs(k_bar) > profile.k_f * (1 + 1e-12):
         raise ValueError("k_bar must lie inside the filled interval")
     rhs = -kernel(2.0, profile.grid - k_bar, profile.c)
@@ -159,5 +240,7 @@ def hole_energy(profile: DensityProfile, k_bar: float) -> float:
 
 def fermion_dressed_energy(profile: DensityProfile, lam: float) -> float:
     """Dressed energy of one auxiliary (spin) rapidity at lam."""
+    if not np.isfinite(lam):
+        raise ValueError("lam must be finite")
     rhs = -kernel(1.0, profile.grid - lam, profile.c)
     return float(profile.backflow_weights @ rhs)

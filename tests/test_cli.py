@@ -8,9 +8,11 @@ installed console script end to end.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -214,7 +216,7 @@ def test_reruns_are_byte_identical(tmp_path):
 # ----------------------------------------------------------------------------
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, monkeypatch):
     assert main(["ground", "--case", "xyz", "--n", "4", "--l", "4", "--c", "1"]) == EXIT_USAGE
     assert main(["ground", "--case", "bff", "--n", "4", "--l", "4", "--c", "1",
                  "--bogus", "1"]) == EXIT_USAGE
@@ -224,6 +226,12 @@ def test_usage_errors_exit_2(capsys):
     assert main(["ground", "--case", "bff", "--n", "2", "--l", "nan", "--c", "1"]) == EXIT_USAGE
     assert main(["ground", "--case", "bff", "--n", "2", "--l", "2", "--c", "inf"]) == EXIT_USAGE
     assert main(["thermo", "--density", "1", "--c", "nan"]) == EXIT_USAGE
+    with monkeypatch.context() as m:  # rejected before the profile is solved
+        m.setattr(thermo, "solve_ground_density",
+                  lambda *a: pytest.fail("solved before validating"))
+        for bad_points in ("-1", str(10 ** 6 + 1)):
+            assert main(["thermo", "--density", "1", "--c", "1",
+                         "--xi-points", bad_points]) == EXIT_USAGE
     # fields so large that the grand energy overflows cannot be compared
     assert main(["phase", "--regime", "weak", "--n", "6", "--l", "6",
                  "--ratio", "1e308", "--h", "1e308,-1e308"]) == EXIT_USAGE
@@ -277,3 +285,16 @@ def test_console_script_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert out.read_text().splitlines()[0] == "kind,index,value"
+
+
+def test_import_loads_no_scipy():
+    # importing scipy.optimize alone takes about 0.5 s, longer than a
+    # whole thermo run; the CLI's start-up must not pay for it
+    src = str(Path(thermo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, bfmix.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -11,6 +11,7 @@ Frozen decimals are solver regressions at the stated inputs.
 import numpy as np
 import pytest
 
+from bfmix import thermo
 from bfmix.bae import NonConvergence
 from bfmix.thermo import (DensityProfile, fermion_dressed_energy,
                           hole_energy, kernel, solve_ground_density)
@@ -100,11 +101,63 @@ def test_weak_coupling_expansion(prof_weak):
 
 def test_scaling_law(prof_c1):
     # k -> s k maps (n, c) -> (s n, s c): k_F scales by s, E/L by s^3
+    # (abs=0: approx's default absolute floor of 1e-12 would hide k_F)
     base = prof_c1
-    scaled = solve_ground_density(2.0, 2.0)
-    assert scaled.k_f == pytest.approx(2.0 * base.k_f, rel=1e-7)
-    assert scaled.energy_density == pytest.approx(
-        8.0 * base.energy_density, rel=1e-7)
+    for s, rel in ((2.0, 1e-7), (1e-6, 1e-9), (1e-9, 1e-9)):
+        scaled = solve_ground_density(s, s)
+        assert scaled.k_f == pytest.approx(s * base.k_f, rel=rel, abs=0)
+        assert scaled.energy_density == pytest.approx(
+            s ** 3 * base.energy_density, rel=rel, abs=0)
+        assert scaled.density == pytest.approx(s, rel=rel, abs=0)
+
+
+def test_tiny_density_fills_impenetrable_edge():
+    # k_F << c: the kernel term vanishes, rho = 1/(2 pi) and k_F = pi n
+    n = 1e-300
+    prof = solve_ground_density(n, 1.0)
+    assert prof.k_f == pytest.approx(np.pi * n, rel=1e-9, abs=0)
+    assert prof.density == pytest.approx(n, rel=1e-9, abs=0)
+
+
+def test_kf_search_probe_budget(monkeypatch):
+    # two node levels; the second starts from the first level's k_F
+    probes = []
+    nystroem = thermo._nystroem
+
+    def counted(*args):
+        probes.append(args)
+        return nystroem(*args)
+
+    monkeypatch.setattr(thermo, "_nystroem", counted)
+    prof = solve_ground_density(1.0, 10.0)
+    assert prof.nodes == 400
+    assert len(probes) <= 24
+
+
+def test_gauss_legendre_rule_is_cached_read_only():
+    x, w = thermo._gauss_legendre(200)
+    assert thermo._gauss_legendre(200)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, 10.0, 1e5])
+def test_kf_matches_plain_bisection(c):
+    prof = solve_ground_density(1.0, c)
+
+    def filled(k_f):
+        _, wk, rho, _ = thermo._nystroem(k_f, c, prof.nodes)
+        return float(wk @ rho)
+
+    lo, hi = 0.0, np.pi  # rho >= 1/(2 pi), so the integral at pi reaches 1
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        if filled(mid) < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    assert prof.k_f == pytest.approx(0.5 * (lo + hi), rel=1e-11)
 
 
 def test_profile_symmetry_and_positivity(prof_c1):
@@ -133,8 +186,9 @@ def test_hole_energy_properties(prof_c1):
                                                    rel=1e-9)
     assert hole_energy(prof, prof.k_f) == pytest.approx(
         -2.6429201411565195, rel=1e-9)
-    with pytest.raises(ValueError):
-        hole_energy(prof, 1.5 * prof.k_f)
+    for bad in (1.5 * prof.k_f, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            hole_energy(prof, bad)
 
 
 def test_hole_energy_impenetrable_is_quadratic(prof_strong):
@@ -158,6 +212,9 @@ def test_fermion_dressed_energy_properties(prof_c1):
     assert fermion_dressed_energy(prof, 0.0) < 0
     far = fermion_dressed_energy(prof, 50.0 * prof.k_f)
     assert -0.01 < far < 0
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            fermion_dressed_energy(prof, bad)
 
 
 def test_input_validation_and_budget():
