@@ -17,12 +17,15 @@ satisfies the Yang-Baxter relation on the triple tensor space *provided*
 the operator acting on the outer pair of factors is embedded with graded
 signs (see :func:`embed_pair`). The ordinary (sign-free) embedding fails
 for these signed permutations; both embeddings are exposed so the failure
-is checkable.
+is checkable. :func:`ybe_residual` embeds the signed permutations once per
+(case, embedding) and reuses them for every draw.
 
 Complex arithmetic stays inside this module; everything downstream of it
 works with real numbers only.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -64,10 +67,16 @@ def r_matrix(case: str, alpha: float, c: float) -> np.ndarray:
     Returned as a complex 9x9 array. R(0) = -P exactly; R(alpha) -> I as
     |alpha| -> infinity; R(alpha) @ R(-alpha) = I.
     """
+    return _rational_r(alpha, c, permutation_matrix(case), np.eye(9))
+
+
+def _rational_r(alpha: float, c: float, p: np.ndarray,
+                eye: np.ndarray) -> np.ndarray:
+    """(alpha*eye - i*c*p) / (alpha + i*c): R from a signed permutation p
+    on either the pair space or, embedded, the triple space."""
     if c <= 0:
         raise ValueError("coupling c must be positive")
-    p = permutation_matrix(case)
-    return (alpha * np.eye(9) - 1j * c * p) / (alpha + 1j * c)
+    return (alpha * eye - 1j * c * p) / (alpha + 1j * c)
 
 
 def embed_pair(x: np.ndarray, positions: tuple[int, int], case: str,
@@ -105,6 +114,20 @@ def embed_pair(x: np.ndarray, positions: tuple[int, int], case: str,
     return out.reshape(27, 27)
 
 
+@functools.lru_cache(maxsize=2 * len(CASES))
+def _embedded_permutations(case: str, embedding: str) -> tuple[np.ndarray, ...]:
+    """Read-only I, P12, P13, P23 on the triple space: the identity and
+    the signed permutation embedded on the factor pairs (0, 1), (0, 2)
+    and (1, 2). Built on first use: a numpy operation at import time
+    raised the peak RSS of every CLI run by about 0.1 MB."""
+    p = permutation_matrix(case)
+    out = (np.eye(27),) + tuple(embed_pair(p, pos, case, embedding)
+                                for pos in ((0, 1), (0, 2), (1, 2)))
+    for x in out:
+        x.flags.writeable = False
+    return out
+
+
 def ybe_residual(case: str, alpha: float, beta: float, c: float,
                  embedding: str = "graded") -> float:
     """Max-norm residual of the Yang-Baxter relation on the triple space.
@@ -114,10 +137,15 @@ def ybe_residual(case: str, alpha: float, beta: float, c: float,
     with the 1-3 factor embedded per ``embedding``. The graded embedding
     yields residuals at machine precision for all three cases; the
     ordinary embedding does not (kept for demonstration).
+
+    Each R is built on the embedded permutation by the arithmetic of
+    :func:`r_matrix`, so it equals ``embed_pair(r_matrix(...))`` entry
+    for entry.
     """
-    r12 = embed_pair(r_matrix(case, alpha - beta, c), (0, 1), case, embedding)
-    r13 = embed_pair(r_matrix(case, alpha, c), (0, 2), case, embedding)
-    r23 = embed_pair(r_matrix(case, beta, c), (1, 2), case, embedding)
+    eye, p12, p13, p23 = _embedded_permutations(case, embedding)
+    r12 = _rational_r(alpha - beta, c, p12, eye)
+    r13 = _rational_r(alpha, c, p13, eye)
+    r23 = _rational_r(beta, c, p23, eye)
     lhs = r12 @ r13 @ r23
     rhs = r23 @ r13 @ r12
     return float(np.abs(lhs - rhs).max())

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 from typing import Iterable, Optional, Sequence
@@ -114,20 +115,28 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _cmd_ybe_check(args) -> int:
-    rng = np.random.default_rng(args.seed)
     cases = args.cases.split(",")
-    couplings = _parse_floats(args.c)
-    rows = []
-    worst = 0.0
     for case in cases:
         if case not in algebra.CASES:
             raise InvalidConfig(f"unknown case {case!r}")
+    couplings = _parse_floats(args.c)
+    if not (np.isfinite(couplings).all() and min(couplings) > 0):
+        raise InvalidConfig(f"couplings must be finite and > 0, got {args.c!r}")
+    if not 0 <= args.num <= _MAX_RANGE_POINTS:
+        raise InvalidConfig(f"--num must lie in [0, {_MAX_RANGE_POINTS}]")
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        raise InvalidConfig(f"--tol must be finite and > 0, got {args.tol!r}")
+    rng = np.random.default_rng(args.seed)
+    rows = []
+    worst = 0.0
+    for case in cases:
         for c in couplings:
             pts = rng.uniform(-10.0, 10.0, size=(args.num, 2))
             for alpha, beta in pts:
                 res = algebra.ybe_residual(case, alpha, beta, c)
                 rows.append((case, c, alpha, beta, res))
-                worst = max(worst, res)
+                if res > worst or math.isnan(res):  # NaN stays the worst
+                    worst = res
     manifest = _manifest("ybe-check", cases=cases, c=couplings, num=args.num,
                          seed=args.seed, tol=args.tol,
                          alpha_beta_window=[-10.0, 10.0])

@@ -43,9 +43,14 @@ _ENERGY_TOL = 1e-8
 
 
 def kernel(m: float, x, c: float):
-    """Lorentzian kernel K_m(x) = (1/pi) (mc/2) / ((mc/2)^2 + x^2)."""
+    """Lorentzian kernel K_m(x) = (1/pi) (mc/2) / ((mc/2)^2 + x^2).
+
+    Where the denominator overflows, the kernel (then below 1e-154) is
+    returned as 0 without a warning.
+    """
     half = 0.5 * m * c
-    return (half / np.pi) / (half * half + np.asarray(x) ** 2)
+    with np.errstate(over="ignore"):
+        return (half / np.pi) / (half * half + np.asarray(x) ** 2)
 
 
 @dataclass(eq=False)
@@ -197,12 +202,22 @@ def solve_ground_density(density: float, c: float, *,
     Doubles the Gauss-Legendre node count from ``initial_nodes`` until
     the energy per unit length changes by less than ``tol`` relatively;
     raises NonConvergence if ``max_nodes`` is hit first. Each level's
-    k_F search starts from the previous level's k_F.
+    k_F search starts from the previous level's k_F. Raises ValueError
+    up front when the energy density could overflow: it is at most the
+    impenetrable limit pi^2 n^3 / 3.
     """
     if not (np.isfinite(density) and np.isfinite(c)):
         raise ValueError("density and c must be finite")
     if density <= 0 or c <= 0:
         raise ValueError("density and c must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    if initial_nodes < 1:
+        raise ValueError(f"initial_nodes must be >= 1, got {initial_nodes!r}")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.pi ** 2 / 3.0 * np.float64(density) ** 3):
+            raise ValueError(f"density {density!r} is too large: the "
+                             "energy density would overflow")
     nodes = initial_nodes
     prev_e = k_f = None
     while nodes <= max_nodes:

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bfmix.algebra import (CASES, GRADINGS, embed_pair, permutation_matrix,
-                           r_matrix, ybe_residual)
+from bfmix.algebra import (CASES, GRADINGS, _embedded_permutations,
+                           embed_pair, permutation_matrix, r_matrix,
+                           ybe_residual)
 
 # R(alpha=1, c=1) for the bff grading, (I - i*P)/(1 + i), frozen from
 # direct arithmetic: diagonal a=b rows give (1 -+ i)/(1 + i) (upper sign
@@ -147,6 +148,54 @@ def test_yang_baxter_graded_holds(case, c):
     for _ in range(25):
         alpha, beta = rng.uniform(-4, 4, size=2)
         assert ybe_residual(case, alpha, beta, c) < 1e-10
+
+
+def _residual_embedding_each_draw(case, alpha, beta, c, embedding):
+    """The Yang-Baxter residual with every R built by r_matrix and then
+    embedded by embed_pair, for each draw."""
+    r12 = embed_pair(r_matrix(case, alpha - beta, c), (0, 1), case, embedding)
+    r13 = embed_pair(r_matrix(case, alpha, c), (0, 2), case, embedding)
+    r23 = embed_pair(r_matrix(case, beta, c), (1, 2), case, embedding)
+    return float(np.abs(r12 @ r13 @ r23 - r23 @ r13 @ r12).max())
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_ybe_residual_equals_embedding_each_draw(case):
+    # the cached embedding reorders no arithmetic, so the bits agree
+    rng = np.random.default_rng(5)
+    for embedding in ("graded", "ordinary"):
+        for c in (0.1, 1.0, 100.0):
+            for alpha, beta in rng.uniform(-10.0, 10.0, size=(200, 2)):
+                assert ybe_residual(case, alpha, beta, c, embedding) == \
+                    _residual_embedding_each_draw(case, alpha, beta, c,
+                                                  embedding)
+
+
+def test_embedded_permutations_cached_read_only():
+    for case in CASES:
+        for embedding in ("graded", "ordinary"):
+            mats = _embedded_permutations(case, embedding)
+            assert _embedded_permutations(case, embedding) is mats
+            assert np.array_equal(mats[0], np.eye(27))
+            for m, pos in zip(mats[1:], ((0, 1), (0, 2), (1, 2))):
+                assert np.array_equal(m, embed_pair(permutation_matrix(case),
+                                                    pos, case, embedding))
+            for m in mats:
+                assert not m.flags.writeable
+                with pytest.raises(ValueError):
+                    m[0, 0] = 2.0
+    assert _embedded_permutations.cache_info().currsize <= 6
+
+
+def test_ybe_residual_rejects_bad_input():
+    for c in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            ybe_residual("bff", 0.3, 0.1, c)
+    for _ in range(2):  # an exception is not cached: the second call raises
+        with pytest.raises(ValueError):
+            ybe_residual("xyz", 0.3, 0.1, 1.0)
+        with pytest.raises(ValueError):
+            ybe_residual("bff", 0.3, 0.1, 1.0, embedding="sideways")
 
 
 def test_yang_baxter_ordinary_embedding_fails():

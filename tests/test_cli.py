@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from bfmix import bae, thermo
+from bfmix import algebra, bae, thermo
 from bfmix.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -132,6 +132,13 @@ def test_ybe_check_fails_at_impossible_tolerance(tmp_path):
     assert rc == EXIT_NUMERICAL
 
 
+def test_ybe_check_fails_on_nan_residual(tmp_path, monkeypatch):
+    monkeypatch.setattr(algebra, "ybe_residual", lambda *a: float("nan"))
+    rc = main(["ybe-check", "--cases", "bff", "--c", "1", "--num", "5",
+               "--out", str(tmp_path / "y.csv")])
+    assert rc == EXIT_NUMERICAL
+
+
 def test_excite_sweeps_families(tmp_path):
     out = tmp_path / "exc.csv"
     rc = main(["excite", "--case", "bff", "--n", "4", "--l", "4", "--c", "1",
@@ -209,6 +216,11 @@ def test_reruns_are_byte_identical(tmp_path):
     assert main(args + ["--out", str(out1)]) == EXIT_OK
     assert main(args + ["--out", str(out2)]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
+    ybe = ["ybe-check", "--num", "50", "--seed", "3"]
+    out3, out4 = tmp_path / "c.csv", tmp_path / "d.csv"
+    assert main(ybe + ["--out", str(out3)]) == EXIT_OK
+    assert main(ybe + ["--out", str(out4)]) == EXIT_OK
+    assert out3.read_bytes() == out4.read_bytes()
 
 
 # ----------------------------------------------------------------------------
@@ -226,6 +238,16 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
     assert main(["ground", "--case", "bff", "--n", "2", "--l", "nan", "--c", "1"]) == EXIT_USAGE
     assert main(["ground", "--case", "bff", "--n", "2", "--l", "2", "--c", "inf"]) == EXIT_USAGE
     assert main(["thermo", "--density", "1", "--c", "nan"]) == EXIT_USAGE
+    # the energy density pi^2 n^3 / 3 would overflow
+    assert main(["thermo", "--density", "1e300", "--c", "1"]) == EXIT_USAGE
+    with monkeypatch.context() as m:  # rejected before the first draw
+        m.setattr(algebra, "ybe_residual",
+                  lambda *a: pytest.fail("drew before validating"))
+        for bad in (["--c", "inf"], ["--c", "nan"], ["--c", "1,-1"],
+                    ["--tol", "nan"], ["--tol", "-1"],
+                    ["--num", "100000000000"], ["--num", "-1"],
+                    ["--cases", "bff,xyz"]):
+            assert main(["ybe-check"] + bad) == EXIT_USAGE
     with monkeypatch.context() as m:  # rejected before the profile is solved
         m.setattr(thermo, "solve_ground_density",
                   lambda *a: pytest.fail("solved before validating"))

@@ -8,6 +8,8 @@ E/L = pi^2 n^3 / 3) and the weak-coupling expansion
 E/L = c n^2 (1 - 4 sqrt(gamma) / (3 pi)), gamma = c/n^2.
 Frozen decimals are solver regressions at the stated inputs.
 """
+import warnings
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,29 @@ def test_input_validation_and_budget():
             solve_ground_density(density, c)
     with pytest.raises(NonConvergence):
         solve_ground_density(1.0, 1e-3, initial_nodes=200, max_nodes=100)
+
+
+@pytest.mark.parametrize("density, kwargs", [
+    (1.0, {"tol": float("nan")}), (1.0, {"tol": float("inf")}),
+    (1.0, {"tol": 0.0}), (1.0, {"tol": -1e-8}),
+    (1.0, {"initial_nodes": 0}), (1.0, {"initial_nodes": -1}),
+    (1e300, {}),  # pi^2 n^3 / 3, the largest energy density, overflows
+], ids=["tol-nan", "tol-inf", "tol-0", "tol-negative", "nodes-0",
+        "nodes-negative", "density-1e300"])
+def test_bad_arguments_fail_before_any_probe(monkeypatch, density, kwargs):
+    monkeypatch.setattr(thermo, "_nystroem",
+                        lambda *a: pytest.fail("probed before validating"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            solve_ground_density(density, 1.0, **kwargs)
+
+
+def test_dressed_energy_far_tail_is_zero_without_warning(prof_c1):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in (1e200, -1e200):
+            assert fermion_dressed_energy(prof_c1, lam) == 0.0
 
 
 def test_profile_records_node_count():
