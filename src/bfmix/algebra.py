@@ -26,6 +26,7 @@ works with real numbers only.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -74,8 +75,8 @@ def _rational_r(alpha: float, c: float, p: np.ndarray,
                 eye: np.ndarray) -> np.ndarray:
     """(alpha*eye - i*c*p) / (alpha + i*c): R from a signed permutation p
     on either the pair space or, embedded, the triple space."""
-    if c <= 0:
-        raise ValueError("coupling c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError(f"coupling c must be finite and positive, got {c!r}")
     return (alpha * eye - 1j * c * p) / (alpha + 1j * c)
 
 

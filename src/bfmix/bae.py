@@ -26,9 +26,9 @@ of the equations and is case- and population-dependent; see
 :func:`required_parities`.
 
 Solving uses damped Newton iteration with an analytic Jacobian and, when
-the direct attempt fails, continuation in the coupling (downward or
-upward) from the well-conditioned regime around c = 100, where the
-asymptotic-lattice seed is nearly exact.
+the direct attempt fails, downward continuation in the coupling from the
+well-conditioned regime around c = 100, where the asymptotic-lattice
+seed is nearly exact.
 """
 from __future__ import annotations
 
@@ -364,11 +364,12 @@ def solve(spec: MixtureSpec, qn: QuantumNumberConfig,
 
     Tries a direct damped-Newton run from ``init`` (or the strong-
     coupling seed); on failure, re-solves at coupling 100 (where the
-    seed is nearly exact) and continues geometrically in c to the
-    requested value (factor 0.8 downward, 1.6 upward), re-using roots
-    between stages. Converged iterates with a root escaped far beyond
-    the physical scale are rejected as non-regular (see
-    :func:`_reject_runaway`). Deterministic; families are returned
+    seed is nearly exact) and continues downward in c by factors of 0.8
+    to the requested value, re-using roots between stages (for
+    c >= 100 the ladder is the single stage 100 -> c). Whichever run
+    converged, an iterate with a root escaped far beyond the physical
+    scale is rejected as non-regular (see :func:`_reject_runaway`); it
+    does not start a ladder. Deterministic; families are returned
     ascending (a no-op for configurations with ordered quantum numbers,
     by root monotonicity).
     """
@@ -377,25 +378,17 @@ def solve(spec: MixtureSpec, qn: QuantumNumberConfig,
                 else default_initial_guess(spec, qn))
     try:
         x = _newton(spec, qn, x0)
-        _reject_runaway(spec, x)
-        return _finalize(spec, qn, x)
-    except NonConvergence as exc:
-        direct_error = exc
-    c_path = [100.0]
-    if spec.c < 100.0:
+    except NonConvergence as direct_error:
+        c_path = [100.0]
         while c_path[-1] * 0.8 > spec.c:
             c_path.append(c_path[-1] * 0.8)
-    else:
-        while c_path[-1] * 1.6 < spec.c:
-            c_path.append(c_path[-1] * 1.6)
-    c_path.append(spec.c)
-    x = _stack(default_initial_guess(spec.replace_c(c_path[0]), qn))
-    try:
-        for c_k in c_path:
-            stage = spec.replace_c(c_k)
-            x = _newton(stage, qn, x)
-    except NonConvergence:
-        raise direct_error from None
+        c_path.append(spec.c)
+        x = _stack(default_initial_guess(spec.replace_c(c_path[0]), qn))
+        try:
+            for c_k in c_path:
+                x = _newton(spec.replace_c(c_k), qn, x)
+        except NonConvergence:
+            raise direct_error from None
     _reject_runaway(spec, x)
     return _finalize(spec, qn, x)
 

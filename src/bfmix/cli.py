@@ -101,7 +101,7 @@ def _parse_range(text: str) -> list[float]:
             raise InvalidConfig(f"range {text!r} has more than "
                                 f"{_MAX_RANGE_POINTS} points")
         return [start + i * step for i in range(int(count))]
-    values = [float(p) for p in text.split(",") if p]
+    values = _parse_floats(text)
     if not np.isfinite(values).all():
         raise InvalidConfig(f"range values must be finite, got {text!r}")
     return values
@@ -200,8 +200,6 @@ def _cmd_excite(args) -> int:
 
 def _cmd_density(args) -> int:
     couplings = _parse_floats(args.c)
-    if not couplings:
-        raise InvalidConfig("at least one coupling value is required")
     spec0 = MixtureSpec(args.case, args.n, args.m, args.mp, args.l,
                         couplings[0])
 

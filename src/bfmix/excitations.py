@@ -49,13 +49,12 @@ def _parity_values(lo: int, hi: int, parity: int) -> list[int]:
     return list(range(start, hi + 1, 2))
 
 
-def _offset_runs(count: int, parity: int,
-                 max_shift: int = 1) -> list[tuple[int, ...]]:
+def _offset_runs(count: int, parity: int) -> list[tuple[int, ...]]:
     """Consecutive runs of given length and parity, near-symmetric.
 
-    All consecutive runs whose center is within ``max_shift`` full steps
-    of zero: the symmetric run and its whole-step translates when the
-    parity matches, else the half-step translates on either side. The
+    All consecutive runs whose center is within one full step of zero:
+    the symmetric run and its whole-step translates when the parity
+    matches, else the half-step translates on either side. The
     families of a sector minimum need not all be centered (their
     centers compensate each other's momentum), so a sector scan must
     enumerate these combinations rather than only the symmetric runs.
@@ -63,12 +62,7 @@ def _offset_runs(count: int, parity: int,
     if count == 0:
         return [()]
     anchor = _sym_run(count)
-    if (count - 1) % 2 == parity:
-        shifts = [2 * t for t in range(-max_shift, max_shift + 1)]
-    else:
-        shifts = sorted({s for t in range(-max_shift, max_shift + 1)
-                         for s in (2 * t - 1, 2 * t + 1)
-                         if abs(s) <= 2 * max_shift + 1})
+    shifts = (-2, 0, 2) if (count - 1) % 2 == parity else (-3, -1, 1, 3)
     return [tuple(v + s for v in anchor) for s in shifts]
 
 
@@ -111,7 +105,7 @@ def _mirror(combo: tuple[tuple[int, ...], ...]
     return tuple(tuple(-v for v in reversed(run)) for run in combo)
 
 
-def _sector_candidates(spec: MixtureSpec, max_shift: int = 1
+def _sector_candidates(spec: MixtureSpec
                        ) -> list[tuple[tuple[int, ...], ...]]:
     """Admissible (2I, 2J, 2J') combinations of :func:`sector_ground`.
 
@@ -127,7 +121,7 @@ def _sector_candidates(spec: MixtureSpec, max_shift: int = 1
         if count == 1:
             runs = [(v,) for v in _parity_values(-spec.n, spec.n, parity)]
         else:
-            runs = _offset_runs(count, parity, max_shift)
+            runs = _offset_runs(count, parity)
         return [run for run in runs if all(abs(v) < bound for v in run)]
 
     combos = list(product(candidates(spec.n, pi_),
@@ -140,7 +134,7 @@ def _sector_candidates(spec: MixtureSpec, max_shift: int = 1
     return combos
 
 
-def sector_ground(spec: MixtureSpec, max_shift: int = 1
+def sector_ground(spec: MixtureSpec
                   ) -> tuple[QuantumNumberConfig, RootSet, Observables]:
     """Lowest-energy consecutive-run configuration of a (M, M') sector.
 
@@ -163,13 +157,13 @@ def sector_ground(spec: MixtureSpec, max_shift: int = 1
     c = 1e-3, 1, 1e3 they are exactly the candidates that fail or run
     away. Admissible candidates that do not converge (or converge to a
     non-regular runaway) are skipped too; raises NonConvergence if none
-    is admissible or none survives. With the default ``max_shift`` the
-    minimum over candidates matches exhaustive in-window enumeration for
-    every small-N sector tested (the ffb ordering in particular; bff
-    cannot express some mixed sectors with real roots at all).
+    is admissible or none survives. The minimum over these candidates
+    matches exhaustive in-window enumeration for every small-N sector
+    tested (the ffb ordering in particular; bff cannot express some
+    mixed sectors with real roots at all).
     """
     best = None
-    for combo in _sector_candidates(spec, max_shift):
+    for combo in _sector_candidates(spec):
         if _mirror(combo) < combo:
             continue
         qn = QuantumNumberConfig(*combo)
@@ -297,23 +291,23 @@ class GroundState:
 
 @dataclass(frozen=True)
 class ParticleHole:
-    holes: Optional[tuple[int, ...]] = None
-    particles: Optional[tuple[float, ...]] = None
+    """Sweep of every hole position and the first N particle slots
+    beyond the right edge of the sequence."""
 
 
 @dataclass(frozen=True)
 class AddOneFermion:
-    """Sweep of J1 (default: all admissible slots); with ``all_variants``
-    the charge hole position is swept over the full window as well.
+    """Sweep of J1 over all admissible slots; with ``all_variants`` the
+    charge hole position is swept over the full window as well.
     """
 
-    j1_values: Optional[tuple[float, ...]] = None
     all_variants: bool = False
 
 
 @dataclass(frozen=True)
 class TwoFermions:
-    pairs: Optional[tuple[tuple[float, float], ...]] = None
+    """Sweep of every pair J1 < J2 of admissible slots, with M' = ``mp``."""
+
     mp: int = 0
 
 
@@ -331,11 +325,7 @@ def _add_fermion_sweep(spec: MixtureSpec, family: AddOneFermion
     n = spec.n
     m, mp = _one_fermion_population(spec.case, n)
     sub = MixtureSpec(spec.case, n, m, mp, spec.L, spec.c)
-    pj = required_parities(sub)[1]
-    if family.j1_values is not None:
-        two_js = [_two(v, "J1") for v in family.j1_values]
-    else:
-        two_js = _parity_values(-(n - 2), n - 2, pj)
+    two_js = _parity_values(-(n - 2), n - 2, required_parities(sub)[1])
     window = _sym_run(n + 1)
     variants = window if family.all_variants else (None,)
     entries = []
@@ -358,9 +348,10 @@ def dispersion(spec: MixtureSpec,
 
     ``spec`` must carry the ordering's ground-state population; energies
     are relative to that ground state. Points are ordered by sweep index;
-    each point warm-starts from the previous convergent solution. Failed
-    points are kept with status "failed" (P from the exact quantum
-    numbers, dE = nan).
+    each point warm-starts from the previous convergent solution. One
+    solve per point: when the warm start fails, :func:`solve` has already
+    run its coupling ladder from the default seed. Failed points are kept
+    with status "failed" (P from the exact quantum numbers, dE = nan).
     """
     _require_ground_population(spec)
     qn0 = ground_state_numbers(spec)
@@ -372,29 +363,19 @@ def dispersion(spec: MixtureSpec,
     if isinstance(family, GroundState):
         entries.append(((), spec, qn0))
     elif isinstance(family, ParticleHole):
-        holes = family.holes or tuple(range(1, n + 1))
-        if family.particles is not None:
-            two_ps = [_two(v, "particle_number") for v in family.particles]
-        else:
-            two_ps = [n - 1 + 2 * t for t in range(1, n + 1)]
-        for hole in holes:
-            for two_p in two_ps:
+        for hole in range(1, n + 1):
+            for two_p in range(n + 1, 3 * n, 2):
                 qn = particle_hole_numbers(spec, hole, two_p / 2.0)
                 entries.append(((float(hole), two_p / 2.0), spec, qn))
     elif isinstance(family, AddOneFermion):
         entries.extend(_add_fermion_sweep(spec, family))
     elif isinstance(family, TwoFermions):
         sub = MixtureSpec("bff", n, 2, family.mp, spec.L, spec.c)
-        pj = required_parities(sub)[1]
-        if family.pairs is not None:
-            pairs = [(_two(a, "J1"), _two(b, "J2")) for a, b in family.pairs]
-        else:
-            slots = _parity_values(-(n - 1), n - 1, pj)
-            pairs = [(a, b) for i, a in enumerate(slots)
-                     for b in slots[i + 1:]]
-        for ta, tb in pairs:
-            qn = two_fermion_numbers(sub, ta / 2.0, tb / 2.0)
-            entries.append(((ta / 2.0, tb / 2.0), sub, qn))
+        slots = _parity_values(-(n - 1), n - 1, required_parities(sub)[1])
+        for i, ta in enumerate(slots):
+            for tb in slots[i + 1:]:
+                qn = two_fermion_numbers(sub, ta / 2.0, tb / 2.0)
+                entries.append(((ta / 2.0, tb / 2.0), sub, qn))
     else:
         raise InvalidConfig(f"unknown excitation family {family!r}")
 
@@ -407,15 +388,12 @@ def dispersion(spec: MixtureSpec,
         try:
             roots = solve(sub, qn, init=init)
         except NonConvergence:
-            try:
-                roots = solve(sub, qn)  # retry cold
-            except NonConvergence:
-                zeros = _split(sub, np.zeros(sub.n + sub.m + sub.mp))
-                obs_p = energy_momentum(sub, qn, zeros).P
-                points.append(DispersionPoint(p=obs_p, de=float("nan"),
-                                              status="failed", params=params))
-                prev = None
-                continue
+            zeros = _split(sub, np.zeros(sub.n + sub.m + sub.mp))
+            obs_p = energy_momentum(sub, qn, zeros).P
+            points.append(DispersionPoint(p=obs_p, de=float("nan"),
+                                          status="failed", params=params))
+            prev = None
+            continue
         obs = energy_momentum(sub, qn, roots)
         points.append(DispersionPoint(p=obs.P, de=obs.E - e0,
                                       status="ok", params=params))

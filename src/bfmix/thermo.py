@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,11 +68,11 @@ class DensityProfile:
     density: float
     c: float
     backflow_weights: np.ndarray
-    nodes: int = field(default=0)
 
-    def __post_init__(self):
-        if not self.nodes:
-            self.nodes = self.grid.size
+    @property
+    def nodes(self) -> int:
+        """Quadrature node count of the converged level."""
+        return self.grid.size
 
 
 @functools.lru_cache(maxsize=8)
@@ -111,8 +111,8 @@ def _kf_bracket(density: float, c: float) -> float:
 
 
 def _bisect_kf(density: float, c: float, nodes: int,
-               guess: float | None = None) -> tuple[float, bool, tuple | None]:
-    """(k_F, bracketed, probe) with integrated density = target, at fixed
+               guess: float | None = None) -> tuple[float, bool]:
+    """(k_F, bracketed) with integrated density = target, at fixed
     resolution.
 
     Named for the bisection it replaced: this is a Brent-Dekker search
@@ -131,18 +131,13 @@ def _bisect_kf(density: float, c: float, nodes: int,
     When the resolution is too coarse for the kernel the integrated
     density at the full bracket top can fall short; that is reported as
     bracketed=False and left to the caller's node-doubling loop rather
-    than guessed at. ``probe`` is the ``_nystroem`` result at k_F when
-    the last probe was made there, else None.
+    than guessed at.
     """
     top = _kf_bracket(density, c)
     tol = _KF_TOL * top
-    last = None
 
     def excess(k_f):
-        nonlocal last
-        last = None  # hold at most one N x N matrix at a time
-        last = k_f, _nystroem(k_f, c, nodes)
-        _, wk, rho, _ = last[1]
+        _, wk, rho, _ = _nystroem(k_f, c, nodes)
         return float(wk @ rho) - density
 
     a, fa, b, fb = 0.0, -density, None, None
@@ -154,7 +149,7 @@ def _bisect_kf(density: float, c: float, nodes: int,
     if b is None:
         b, fb = top, excess(top)
         if fb < 0.0:
-            return float(top), False, None
+            return float(top), False
     # Brent's zeroin: b is the best estimate, a the previous one, and the
     # root lies between b and the contrapoint cp.
     cp, f_cp = a, fa
@@ -168,8 +163,7 @@ def _bisect_kf(density: float, c: float, nodes: int,
         tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
         half = 0.5 * (cp - b)
         if abs(half) <= tol1 or fb == 0.0:
-            probe = last[1] if last is not None and last[0] == b else None
-            return float(b), True, probe
+            return float(b), True
         if abs(last_step) >= tol1 and abs(fa) > abs(fb):
             s = fb / fa
             if a == cp:  # secant through a and b: b + (b - a) fb / (fa - fb)
@@ -221,18 +215,18 @@ def solve_ground_density(density: float, c: float, *,
     nodes = initial_nodes
     prev_e = k_f = None
     while nodes <= max_nodes:
-        k_f, bracketed, probe = _bisect_kf(density, c, nodes, k_f)
+        k_f, bracketed = _bisect_kf(density, c, nodes, k_f)
         if not bracketed:
             prev_e = k_f = None  # resolution insufficient; never accept this
             nodes *= 2
             continue
-        k, wk, rho, a = probe or _nystroem(k_f, c, nodes)
+        k, wk, rho, a = _nystroem(k_f, c, nodes)
         e = float(wk @ (k * k * rho))
         if prev_e is not None and abs(e - prev_e) <= tol * max(abs(e), 1e-30):
             z = np.linalg.solve(a, k * k)
             return DensityProfile(grid=k, weights=wk, values=rho, k_f=k_f,
                                   energy_density=e, density=float(wk @ rho),
-                                  c=c, backflow_weights=wk * z, nodes=nodes)
+                                  c=c, backflow_weights=wk * z)
         prev_e = e
         nodes *= 2
     raise NonConvergence("ground density did not converge in node budget",

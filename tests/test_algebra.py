@@ -188,9 +188,11 @@ def test_embedded_permutations_cached_read_only():
 
 
 def test_ybe_residual_rejects_bad_input():
-    for c in (0.0, -1.0):
+    for c in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             ybe_residual("bff", 0.3, 0.1, c)
+        with pytest.raises(ValueError):
+            r_matrix("bff", 0.3, c)
     for _ in range(2):  # an exception is not cached: the second call raises
         with pytest.raises(ValueError):
             ybe_residual("xyz", 0.3, 0.1, 1.0)

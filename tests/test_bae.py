@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bfmix import bae
 from bfmix.bae import (_COUPLINGS, InvalidConfig, MixtureSpec,
                        NonConvergence, QuantumNumberConfig, RootSet,
                        _reject_runaway,
@@ -384,6 +385,49 @@ def test_runaway_line_search_emits_no_warning():
         with pytest.raises(NonConvergence):
             solve(spec, qn)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def _count_newton(monkeypatch, fail_first=False):
+    """Wrap bae._newton; the list collects each call's coupling."""
+    couplings = []
+    newton = bae._newton
+
+    def counted(spec, qn, x0):
+        couplings.append(spec.c)
+        if fail_first and len(couplings) == 1:
+            raise NonConvergence("forced direct failure", 1.0)
+        return newton(spec, qn, x0)
+
+    monkeypatch.setattr(bae, "_newton", counted)
+    return couplings
+
+
+def test_direct_runaway_starts_no_ladder(monkeypatch):
+    # the direct run converges with an escaped root; that is final, not
+    # the start of a ladder (which never converged to a regular root set
+    # on any candidate tried)
+    couplings = _count_newton(monkeypatch)
+    spec = MixtureSpec("bff", 1, 1, 1, 1.0, 1.0)
+    with pytest.raises(NonConvergence, match="root escaped"):
+        solve(spec, QuantumNumberConfig((1,), (1,), (1,)))
+    assert couplings == [1.0]
+
+
+@pytest.mark.parametrize("c, ladder", [
+    (1e3, [100.0, 1e3]),
+    (100.0, [100.0, 100.0]),
+    (60.0, [100.0, 80.0, 64.0, 60.0]),
+])
+def test_ladder_runs_downward_from_100(monkeypatch, c, ladder):
+    # after a failed direct run the ladder starts at c = 100 and only
+    # descends: above 100 it is the single stage 100 -> c
+    couplings = _count_newton(monkeypatch, fail_first=True)
+    spec = _all_boson("bff", 3, 2.0, c)
+    qn = ground_state_numbers(spec)
+    roots = solve(spec, qn)
+    assert np.abs(residual(spec, qn, roots)).max() < 1e-10
+    assert couplings[0] == c
+    assert couplings[1:] == pytest.approx(ladder, rel=1e-15)
 
 
 def test_non_regular_configuration_rejected():

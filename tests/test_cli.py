@@ -2,16 +2,19 @@
 
 All invocations go through ``main(argv)`` in process so exit codes and file
 side effects are asserted directly; one subprocess test exercises the
-installed console script end to end.
+installed console script end to end, and one runs the target that
+``pyproject.toml`` declares for it in process.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -235,6 +238,10 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
     assert main(["phase", "--regime", "weak", "--ratio", "abc", "--h", "0"]) == EXIT_USAGE
     assert main(["phase", "--regime", "weak", "--ratio", "0:1e308:1e-300",
                  "--h", "0"]) == EXIT_USAGE
+    # an empty comma list is an error, as an empty start:stop:step is
+    for empty in (["--ratio", ",", "--h", "0"], ["--ratio", "1", "--h", ","]):
+        assert main(["phase", "--regime", "weak", "--n", "6", "--l", "6"]
+                    + empty) == EXIT_USAGE
     assert main(["ground", "--case", "bff", "--n", "2", "--l", "nan", "--c", "1"]) == EXIT_USAGE
     assert main(["ground", "--case", "bff", "--n", "2", "--l", "2", "--c", "inf"]) == EXIT_USAGE
     assert main(["thermo", "--density", "1", "--c", "nan"]) == EXIT_USAGE
@@ -307,6 +314,21 @@ def test_console_script_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert out.read_text().splitlines()[0] == "kind,index,value"
+
+
+def test_declared_console_entry_point_runs(tmp_path, capsys):
+    # the target that [project.scripts] names, resolved and run in process,
+    # so the console script's wiring is checked without an install
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["bfmix"]
+    module, attr = target.split(":")
+    entry = getattr(importlib.import_module(module), attr)
+    out = tmp_path / "g.csv"
+    assert entry(["ground", "--case", "bff", "--n", "2", "--l", "2",
+                  "--c", "1", "--out", str(out)]) == EXIT_OK
+    assert out.read_text().splitlines()[0] == "kind,index,value"
+    capsys.readouterr()
 
 
 def test_import_loads_no_scipy():

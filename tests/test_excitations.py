@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bfmix import excitations
 from bfmix.bae import (InvalidConfig, MixtureSpec, NonConvergence,
                        QuantumNumberConfig, auxiliary_bounds,
                        energy_momentum, required_parities, residual, solve)
@@ -195,7 +196,7 @@ def _unfiltered_candidates(spec: MixtureSpec):
     def runs(count, parity):
         if count == 1:
             return [(v,) for v in _parity_values(-spec.n, spec.n, parity)]
-        return _offset_runs(count, parity, 1)
+        return _offset_runs(count, parity)
     pi_, pj, pjp = required_parities(spec)
     return product(runs(spec.n, pi_), runs(spec.m, pj), runs(spec.mp, pjp))
 
@@ -363,6 +364,26 @@ def test_two_fermion_dispersion():
     # opposite-spin pair couples differently from the polarized pair
     assert sorted(p.de for p in pts1) != pytest.approx(
         sorted(p.de for p in pts)[:len(pts1)], rel=1e-6)
+
+
+def test_dispersion_solves_each_point_once(monkeypatch):
+    # a failed warm start is final: solve() has already run its ladder
+    # from the default seed, so a cold retry would repeat that work
+    calls = []
+
+    def warm_start_fails(spec, qn, init=None):
+        calls.append(qn)
+        if init is not None:
+            raise NonConvergence("forced warm-start failure", 1.0)
+        return solve(spec, qn)
+
+    monkeypatch.setattr(excitations, "solve", warm_start_fails)
+    pts = dispersion(_gs_spec("bff", 3, 3.0, 1.0), ParticleHole())
+    assert len(pts) == 9
+    # a point after a success is warm-started and fails; the next is cold
+    assert [p.status for p in pts] == ["ok", "failed"] * 4 + ["ok"]
+    assert all(np.isnan(p.de) for p in pts if p.status == "failed")
+    assert len(calls) == 1 + len(pts)  # the ground state, then each point
 
 
 def test_dispersion_rejects_unknown_family():
