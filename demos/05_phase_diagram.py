@@ -7,7 +7,7 @@ staircase along the zero-field axis.
 
 import numpy as np
 
-from bfmix.phases import FieldPoint, phase_scan, sector_energy_table, weak_coupling_phase
+from bfmix.phases import FieldPoint, phase_scan, weak_coupling_phase
 
 GLYPH = {"B": ".", "BF1": "1", "BF2": "2", "BF1F2": "m", "S": "S",
          "F1": "^", "F2": "v", "F": "f"}
@@ -38,9 +38,7 @@ def main() -> None:
     ascii_map("strong", ratios, hs, n=n, L=L)
     print()
     print("  finite coupling (c = 1): building the sector energy table ...")
-    cache = {}
-    sector_energy_table(1.0, n, L, cache=cache)
-    ascii_map("general", ratios, hs, c=1.0, n=n, L=L, cache=cache)
+    ascii_map("general", ratios, hs, c=1.0, n=n, L=L)
 
     print()
     print("Balanced-pair staircase along h = 0 (weak limit):")

@@ -331,13 +331,10 @@ def _add_fermion_sweep(spec: MixtureSpec, family: AddOneFermion
     entries = []
     for two_hole in variants:
         for tj in two_js:
-            if two_hole is None:
-                hole_used = window[0] if tj >= 0 else window[-1]
-                qn = add_fermion_numbers(sub, tj / 2.0)
-            else:
-                hole_used = two_hole
-                qn = add_fermion_numbers(sub, tj / 2.0,
-                                         i_hole=two_hole / 2.0)
+            qn = add_fermion_numbers(
+                sub, tj / 2.0,
+                i_hole=None if two_hole is None else two_hole / 2.0)
+            hole_used = next(v for v in window if v not in qn.two_i)
             entries.append(((hole_used / 2.0, tj / 2.0), sub, qn))
     return entries
 

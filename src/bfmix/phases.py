@@ -21,7 +21,7 @@ number N:
   large-ratio region is paired (S) rather than fully polarized.
 * general coupling: compositions (M, M') with N-M >= M-M' >= M' >= 0,
   each evaluated by solving its finite-c ground state exactly; sector
-  energies are field-independent and cached across grid points.
+  energies are field-independent, so a scan solves each sector once.
 
 All regimes minimize over one candidate set — the admissible sectors
 and their exact spin mirrors (see :func:`candidate_compositions`) — so
@@ -37,7 +37,6 @@ F (equal spin populations, no bosons), F1F2 (unequal, no bosons).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -158,15 +157,6 @@ def free_sea_energy(count: int) -> int:
         else 0
 
 
-def lattice_min_sum(count: int, parity: int) -> float:
-    """Minimal sum of (v/2)^2 over distinct doubled values of one parity."""
-    if count == 0:
-        return 0.0
-    vals = sorted((v * v for v in range(-2 * count - 2, 2 * count + 3)
-                   if (v % 2 + 2) % 2 == parity))
-    return sum(vals[:count]) / 4.0
-
-
 def weak_coupling_phase(fields: FieldPoint, n: int,
                         L: float) -> PhasePoint:
     """Free-particle minimizer over all compositions (bosons at zero k)."""
@@ -179,8 +169,7 @@ def strong_coupling_phase(fields: FieldPoint, n: int,
     return _phase_point("strong", fields, n, L)
 
 
-def sector_energy_table(c: float, n: int, L: float,
-                        cache: Optional[dict] = None
+def sector_energy_table(c: float, n: int, L: float
                         ) -> tuple[list[tuple[int, int, int]], list[float],
                                    tuple[tuple[int, int], ...]]:
     """Ground energies of every admissible (M, M') sector at coupling c.
@@ -189,51 +178,50 @@ def sector_energy_table(c: float, n: int, L: float,
     solved in the ffb ordering — populations (M', N-M, M-M') map to the
     ffb spec (N, N-M+M', N-M) — because that ordering reaches every
     admissible sector with real roots (the bff ordering needs non-real
-    root pairs once both fermion species coexist with bosons). Sectors
-    whose solver fails are excluded and reported. ``cache`` maps
-    (m, mp) -> energy (NaN marks a recorded failure) and is filled on use.
+    root pairs once both fermion species coexist with bosons). Each
+    sector is solved once and its energy shared with its spin mirror;
+    sectors whose solver fails are excluded and reported. Every call
+    solves the whole table: classify a grid with :func:`phase_scan`.
     """
-    if cache is None:
-        cache = {}
-    comps, energies, excluded = [], [], []
-    for (m, mp), pops in candidate_compositions(n):
-        if (m, mp) not in cache:
-            spec = MixtureSpec("ffb", n, n - m + mp, n - m, L, c)
-            try:
-                cache[(m, mp)] = sector_ground(spec)[2].E
-            except NonConvergence:
-                cache[(m, mp)] = float("nan")
-        e = cache[(m, mp)]
-        if np.isnan(e):
-            if (m, mp) not in excluded:
-                excluded.append((m, mp))
-            continue
-        comps.append(pops)
-        energies.append(e)
-    if not comps:
+    energy, excluded = {}, []
+    for m, mp in young_sectors(n):
+        spec = MixtureSpec("ffb", n, n - m + mp, n - m, L, c)
+        try:
+            energy[(m, mp)] = sector_ground(spec)[2].E
+        except NonConvergence:
+            excluded.append((m, mp))
+    if not energy:
         raise NonConvergence("every sector failed to converge", float("inf"))
-    return comps, energies, tuple(excluded)
+    solved = [(pops, energy[sector]) for sector, pops
+              in candidate_compositions(n) if sector in energy]
+    return ([pops for pops, _ in solved], [e for _, e in solved],
+            tuple(excluded))
 
 
-def general_phase(c: float, fields: FieldPoint, n: int, L: float,
-                  cache: Optional[dict] = None) -> PhasePoint:
-    """Exact finite-coupling minimizer over admissible compositions."""
-    return _phase_point("general", fields, n, L, c, cache)
+def general_phase(c: float, fields: FieldPoint, n: int,
+                  L: float) -> PhasePoint:
+    """Exact finite-coupling minimizer over admissible compositions.
+
+    Each call solves the whole sector table; classify a grid with
+    :func:`phase_scan`, which solves it once.
+    """
+    return _phase_point("general", fields, n, L, c)
 
 
 def _phase_point(regime: str, fields: FieldPoint, n: int, L: float,
-                 c: float = 1.0, cache: Optional[dict] = None) -> PhasePoint:
-    pop_arr, e_arr, excluded = _regime_table(regime, n, L, c, cache)
+                 c: float = 1.0) -> PhasePoint:
+    pop_arr, e_arr, excluded = _regime_table(regime, n, L, c)
     best = _minimize(pop_arr, e_arr, fields.mu_b, fields.mu_f, [fields.h])
     pops = tuple(best[0].tolist())
     return PhasePoint(populations=pops, label=classify(pops),
                       excluded_sectors=excluded)
 
 
-def _regime_table(regime: str, n: int, L: float, c: float = 1.0,
-                  cache: Optional[dict] = None
+def _regime_table(regime: str, n: int, L: float, c: float = 1.0
                   ) -> tuple[np.ndarray, np.ndarray, tuple]:
     """(populations, energies, excluded sectors) of one regime's candidates."""
+    if n < 1:
+        raise InvalidConfig(f"particle number must be at least 1, got {n}")
     if not (np.isfinite(L) and L > 0):
         raise InvalidConfig(f"box length must be finite and positive, got {L}")
     excluded: tuple = ()
@@ -244,10 +232,12 @@ def _regime_table(regime: str, n: int, L: float, c: float = 1.0,
             energies = [u * (free_sea_energy(up) + free_sea_energy(dn))
                         for _, up, dn in comps]
         else:
-            e_sea = u * min(lattice_min_sum(n, 0), lattice_min_sum(n, 1))
+            # the cheaper ladder (integer for odd n, half-odd for even n)
+            # fills n levels with a sum of I^2 of (n^3 - n) / 12
+            e_sea = u * ((n ** 3 - n) / 12)
             energies = [e_sea] * len(comps)
     elif regime == "general":
-        comps, energies, excluded = sector_energy_table(c, n, L, cache)
+        comps, energies, excluded = sector_energy_table(c, n, L)
     else:
         raise ValueError(f"unknown regime {regime!r}")
     return (np.asarray(comps, dtype=float), np.asarray(energies, dtype=float),
@@ -276,8 +266,8 @@ def _minimize(pop_arr: np.ndarray, e_arr: np.ndarray, mu_b: float,
 
 
 def phase_scan(regime: str, ratio_values, h_values, *, c: float = 1.0,
-               n: int = 42, L: float = 42.0, mu_b: float = 1.0,
-               cache: Optional[dict] = None) -> PhaseScanResult:
+               n: int = 42, L: float = 42.0,
+               mu_b: float = 1.0) -> PhaseScanResult:
     """Classify a (ratio, h) grid; rows ordered ratio-major, h-minor.
 
     Sector energies do not depend on the fields, so they are computed
@@ -289,7 +279,7 @@ def phase_scan(regime: str, ratio_values, h_values, *, c: float = 1.0,
         raise InvalidConfig(
             f"mu_b must be finite and positive when ratio is the axis, "
             f"got {mu_b}")
-    pop_arr, e_arr, excluded = _regime_table(regime, n, L, c, cache)
+    pop_arr, e_arr, excluded = _regime_table(regime, n, L, c)
     hs = [float(h) for h in h_values]
     rows = []
     for ratio in ratio_values:

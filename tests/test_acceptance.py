@@ -42,7 +42,6 @@ from bfmix.phases import (
     FieldPoint,
     free_sea_energy,
     phase_scan,
-    sector_energy_table,
     strong_coupling_phase,
     weak_coupling_phase,
 )
@@ -330,14 +329,12 @@ def test_09_weak_regime_phase_structure(capsys):
         assert c_left == pytest.approx(c_oracle, abs=1e-6)
         assert c_right == pytest.approx(c_oracle, abs=1e-6)
 
-        # (c) timed general scan at c=1 with a shared sector cache
-        cache = {}
+        # (c) timed general scan at c=1, sector table included
         t0 = time.time()
-        sector_energy_table(1.0, n, L, cache=cache)
         scan = phase_scan("general",
                           [float(r) for r in np.linspace(0.0, 8.0, 100)],
                           [float(h) for h in np.linspace(-6.0, 6.0, 100)],
-                          c=1.0, n=n, L=L, cache=cache)
+                          c=1.0, n=n, L=L)
         elapsed = time.time() - t0
         assert elapsed < 1800.0
         max_pairs = max(min(row.n_up, row.n_down) for row in scan.rows)
@@ -359,9 +356,7 @@ def test_10_general_classifier_matches_limits(capsys):
         fractions = {}
         for c, reference, name in ((1e3, strong_coupling_phase, "strong"),
                                    (1e-3, weak_coupling_phase, "weak")):
-            cache = {}
-            sector_energy_table(c, n, L, cache=cache)
-            scan = phase_scan("general", ratios, fields, c=c, n=n, L=L, cache=cache)
+            scan = phase_scan("general", ratios, fields, c=c, n=n, L=L)
             agree = sum(
                 row.label == reference(FieldPoint.from_ratio(row.ratio, row.h), n, L).label
                 for row in scan.rows

@@ -272,6 +272,9 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
         for bad_mu_b in ("0", "-1", "nan"):  # the ratio axis needs mu_b > 0
             assert main(["phase", "--regime", regime, "--mu-b", bad_mu_b]
                         + grid) == EXIT_USAGE
+        for bad_n in ("0", "-3"):  # at least one particle
+            assert main(["phase", "--regime", regime, "--n", bad_n, "--l",
+                         "3", "--ratio", "0", "--h", "0"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE
     capsys.readouterr()
 

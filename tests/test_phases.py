@@ -2,8 +2,9 @@
 
 Oracle strategy
 ---------------
-* ``free_sea_energy`` / ``lattice_min_sum`` are checked against brute-force
-  minimisation over occupation patterns (itertools), then frozen.
+* ``free_sea_energy`` and the strong-coupling sea ``(n**3 - n) / 12`` are
+  checked against brute-force minimisation over occupation patterns
+  (itertools), then frozen.
 * The weak-coupling classifier is checked against closed-form boundary laws
   derived from the filled-sea counting itself (marginal-cost thresholds),
   evaluated through independent bisection on the classifier output.
@@ -11,7 +12,8 @@ Oracle strategy
   alone (the sea energy is composition independent at infinite repulsion),
   giving h = 2*mu_B*(1 - mu_f/mu_B) exactly.
 * ``sector_energy_table`` entries are cross-checked against an independent
-  ``sector_ground`` solve and frozen at documented parameters.
+  ``sector_ground`` solve and frozen at documented parameters; a sector
+  whose solve fails is excluded, with its spin mirror.
 * The general classifier is compared label-wise against both closed-form
   limits on a fixed probe grid.
 """
@@ -19,6 +21,7 @@ Oracle strategy
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -26,7 +29,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bfmix.bae import MixtureSpec
+from bfmix import cli, phases
+from bfmix.bae import MixtureSpec, NonConvergence
 from bfmix.excitations import sector_ground
 from bfmix.phases import (
     FieldPoint,
@@ -38,7 +42,6 @@ from bfmix.phases import (
     free_sea_energy,
     general_phase,
     grand_energy,
-    lattice_min_sum,
     phase_scan,
     sector_energy_table,
     strong_coupling_phase,
@@ -93,25 +96,29 @@ def _brute_lattice_min(count: int, parity: int, span: int = 13) -> float:
 
 
 def test_lattice_min_sum_matches_brute_force():
-    for count in range(1, 7):
-        for parity in (0, 1):
-            assert lattice_min_sum(count, parity) == pytest.approx(
-                _brute_lattice_min(count, parity), rel=1e-14
-            )
+    # every composition carries the same sea: the cheaper of the integer
+    # and half-odd-integer ladders, (n**3 - n) / 12 in units of u
+    for n in range(1, 7):
+        _, energies, _ = _regime_table("strong", n, float(n))
+        u = (2.0 * math.pi / n) ** 2
+        sea = min(_brute_lattice_min(n, 0), _brute_lattice_min(n, 1))
+        assert energies.tolist() == [u * sea] * len(energies)
 
 
 def test_lattice_min_sum_frozen_values():
-    assert lattice_min_sum(1, 0) == 0.0
-    assert lattice_min_sum(1, 1) == 0.25
-    assert lattice_min_sum(2, 0) == 1.0
-    assert lattice_min_sum(2, 1) == 0.5
-    assert lattice_min_sum(3, 0) == 2.0
-    assert lattice_min_sum(3, 1) == 2.75
-    assert lattice_min_sum(4, 0) == 6.0
-    assert lattice_min_sum(4, 1) == 5.0
-    # the large-count seas used by the strong-coupling classifier at N = 42
-    assert lattice_min_sum(42, 1) == 6170.5
-    assert lattice_min_sum(42, 0) == 6181.0
+    ladders = {count: (_brute_lattice_min(count, 0), _brute_lattice_min(count, 1))
+               for count in range(1, 5)}
+    assert ladders == {1: (0.0, 0.25), 2: (1.0, 0.5), 3: (2.0, 2.75),
+                       4: (6.0, 5.0)}
+    for n, sea in [(1, 0.0), (2, 0.5), (3, 2.0), (4, 5.0)]:
+        _, energies, _ = _regime_table("strong", n, float(n))
+        u = (2.0 * math.pi / n) ** 2
+        assert energies.tolist() == [u * sea] * len(energies)
+    # the large-count seas used by the strong-coupling classifier at N = 42:
+    # the half-odd ladder (6170.5) undercuts the integer one (6181)
+    assert free_sea_energy(N42) == 6181
+    _, energies, _ = _regime_table("strong", N42, L42)
+    assert energies.tolist() == [U42 * 6170.5] * len(energies)
 
 
 # ----------------------------------------------------------------------------
@@ -366,14 +373,12 @@ TABLE6_C1 = {
 
 
 @pytest.fixture(scope="module")
-def table6_cache():
-    cache = {}
-    sector_energy_table(1.0, 6, 6.0, cache=cache)
-    return cache
+def table6():
+    return sector_energy_table(1.0, 6, 6.0)
 
 
-def test_sector_energy_table_frozen(table6_cache):
-    comps, energies, excluded = sector_energy_table(1.0, 6, 6.0, cache=table6_cache)
+def test_sector_energy_table_frozen(table6):
+    comps, energies, excluded = table6
     assert excluded == ()
     assert comps == list(TABLE6_C1.keys())
     for pops, e in zip(comps, energies):
@@ -381,24 +386,63 @@ def test_sector_energy_table_frozen(table6_cache):
     # spin-mirror compositions are exactly degenerate
     assert energies[comps.index((5, 1, 0))] == energies[comps.index((5, 0, 1))]
     assert energies[comps.index((3, 2, 1))] == energies[comps.index((3, 1, 2))]
-    # the cache is keyed by the underlying sectors and makes reruns cheap
-    assert set(table6_cache.keys()) == set(young_sectors(6))
 
 
-def test_sector_energy_table_matches_direct_solve(table6_cache):
-    comps, energies, _ = sector_energy_table(1.0, 6, 6.0, cache=table6_cache)
+def test_sector_energy_table_matches_direct_solve(table6):
+    comps, energies, _ = table6
     _, _, obs = sector_ground(MixtureSpec("ffb", 6, 5, 4, 6.0, 1.0))
     assert energies[comps.index((4, 1, 1))] == pytest.approx(obs.E, rel=1e-12)
 
 
-def test_general_phase_points_frozen(table6_cache):
-    pb = general_phase(1.0, FieldPoint.from_ratio(0.2, 0.0), 6, 6.0, cache=table6_cache)
+def _fail_sectors(monkeypatch, n, failing):
+    """Make ``sector_ground`` raise NonConvergence on the listed (M, M')."""
+    solve_sector = phases.sector_ground
+
+    def patched(spec):
+        if failing is None or (n - spec.mp, spec.m - spec.mp) in failing:
+            raise NonConvergence("forced failure", 1.0)
+        return solve_sector(spec)
+
+    monkeypatch.setattr(phases, "sector_ground", patched)
+
+
+def test_failed_sector_is_excluded_with_its_mirror(monkeypatch, tmp_path,
+                                                   capsys):
+    _fail_sectors(monkeypatch, 4, {(1, 0)})
+    comps, energies, excluded = sector_energy_table(1.0, 4, 4.0)
+    assert excluded == ((1, 0),)
+    assert comps == [pops for sector, pops in candidate_compositions(4)
+                     if sector != (1, 0)]
+    assert (3, 1, 0) not in comps and (3, 0, 1) not in comps
+    assert len(energies) == len(comps)
+    out = tmp_path / "phase.csv"
+    assert cli.main(["phase", "--regime", "general", "--n", "4", "--l", "4",
+                     "--c", "1", "--ratio", "0:2:1", "--h", "0",
+                     "--out", str(out)]) == cli.EXIT_OK
+    manifest = json.loads((tmp_path / "phase.csv.manifest.json").read_text())
+    assert manifest["inputs"]["excluded_sectors"] == [[1, 0]]
+    assert "1 sector(s) excluded (no convergence): [(1, 0)]" in \
+        capsys.readouterr().err
+
+
+def test_every_sector_failed_raises(monkeypatch, capsys):
+    _fail_sectors(monkeypatch, 4, None)
+    with pytest.raises(NonConvergence, match="every sector failed"):
+        sector_energy_table(1.0, 4, 4.0)
+    assert cli.main(["phase", "--regime", "general", "--n", "4", "--l", "4",
+                     "--c", "1", "--ratio", "1", "--h", "0"]) \
+        == cli.EXIT_NUMERICAL
+    assert "numerical failure: every sector failed" in capsys.readouterr().err
+
+
+def test_general_phase_points_frozen():
+    pb = general_phase(1.0, FieldPoint.from_ratio(0.2, 0.0), 6, 6.0)
     assert (pb.populations, pb.label) == ((6, 0, 0), "B")
-    ps = general_phase(1.0, FieldPoint.from_ratio(8.0, 0.1), 6, 6.0, cache=table6_cache)
+    ps = general_phase(1.0, FieldPoint.from_ratio(8.0, 0.1), 6, 6.0)
     assert (ps.populations, ps.label) == ((2, 2, 2), "S")
-    pf = general_phase(1.0, FieldPoint.from_ratio(1.5, -4.0), 6, 6.0, cache=table6_cache)
+    pf = general_phase(1.0, FieldPoint.from_ratio(1.5, -4.0), 6, 6.0)
     assert (pf.populations, pf.label) == ((3, 0, 3), "BF2")
-    pg = general_phase(1.0, FieldPoint.from_ratio(0.2, -4.0), 6, 6.0, cache=table6_cache)
+    pg = general_phase(1.0, FieldPoint.from_ratio(0.2, -4.0), 6, 6.0)
     assert (pg.populations, pg.label) == ((4, 0, 2), "BF2")
 
 
@@ -407,13 +451,11 @@ PROBE_FIELDS = (-3.1, -1.3, 0.17, 1.3, 3.1)
 
 
 def _label_agreement(c, reference_phase):
-    cache = {}
+    scan = phase_scan("general", PROBE_RATIOS, PROBE_FIELDS, c=c, n=6, L=6.0)
     agree = 0
-    for r in PROBE_RATIOS:
-        for h in PROBE_FIELDS:
-            fp = FieldPoint.from_ratio(r, h)
-            general = general_phase(c, fp, 6, 6.0, cache=cache)
-            agree += general.label == reference_phase(fp, 6, 6.0).label
+    for row in scan.rows:
+        fp = FieldPoint.from_ratio(row.ratio, row.h)
+        agree += row.label == reference_phase(fp, 6, 6.0).label
     return agree
 
 
@@ -453,19 +495,17 @@ def test_phase_scan_matches_pointwise_classifier():
     # exactly with its spin mirror and the tie rule decides
     ratios = [0.0, 0.5, 1.0, 2.0]
     hs = [-2.0, 0.0, 1.0, 2.0]  # includes exact boundary points
-    cache: dict = {}
     pointwise = {
         "strong": (6, lambda f: strong_coupling_phase(f, 6, 6.0)),
         "weak": (6, lambda f: weak_coupling_phase(f, 6, 6.0)),
-        "general": (4, lambda f: general_phase(1.0, f, 4, 4.0, cache=cache)),
+        "general": (4, lambda f: general_phase(1.0, f, 4, 4.0)),
     }
     for regime, (n, classifier) in pointwise.items():
-        scan = phase_scan(regime, ratios, hs, c=1.0, n=n, L=float(n),
-                          cache=cache)
+        scan = phase_scan(regime, ratios, hs, c=1.0, n=n, L=float(n))
         assert isinstance(scan, PhaseScanResult)
         assert len(scan.rows) == len(ratios) * len(hs)
         pops_arr, energies, excluded = _regime_table(regime, n, float(n),
-                                                     1.0, cache)
+                                                     1.0)
         assert scan.excluded_sectors == excluded
         if regime != "general":
             assert excluded == ()
@@ -499,9 +539,9 @@ def test_phase_scan_weak_boundary_rows():
     assert (rows[(2.2, 0.0)].n_b, rows[(2.2, 0.0)].n_up, rows[(2.2, 0.0)].n_down) == (14, 14, 14)
 
 
-def test_phase_scan_general_reuses_cache(table6_cache):
-    scan = phase_scan("general", [0.2, 1.5], [0.0, -4.0], c=1.0, n=6, L=6.0, cache=table6_cache)
-    again = phase_scan("general", [0.2, 1.5], [0.0, -4.0], c=1.0, n=6, L=6.0, cache=table6_cache)
+def test_phase_scan_general_is_deterministic():
+    scan = phase_scan("general", [0.2, 1.5], [0.0, -4.0], c=1.0, n=6, L=6.0)
+    again = phase_scan("general", [0.2, 1.5], [0.0, -4.0], c=1.0, n=6, L=6.0)
     assert scan.rows == again.rows
     labels = [row.label for row in scan.rows]
     assert labels == ["B", "BF2", "S", "BF2"]
