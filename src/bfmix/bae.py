@@ -20,9 +20,10 @@ read one table of these parameters over the stacked roots
 x = (k, lambda, mu) (see ``_coupling_table``).
 
 Quantum numbers I, J, J' are integers or half-odd integers; they are
-stored *doubled* (2I etc.) as exact ints. Whether a family is integer-
-or half-odd-valued follows from the sign factors of the exponential form
-of the equations and is case- and population-dependent; see
+stored *doubled* (2I etc.) as exact ints. Every per-ordering rule (the
+parity of each family, the bounds on the auxiliary quantum numbers, the
+signs of the total momentum and the population map) is derived from
+``_COUPLINGS`` and ``algebra.GRADINGS``, the ordering's two tables; see
 :func:`required_parities`.
 
 Solving uses damped Newton iteration with an analytic Jacobian and, when
@@ -38,7 +39,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import CASES
+from .algebra import CASES, GRADINGS
 
 _TOL = 1e-10
 _MAX_STEPS = 200
@@ -85,13 +86,24 @@ class MixtureSpec:
             raise InvalidConfig("coupling must be positive (repulsive)")
 
     def populations(self) -> tuple[int, int, int]:
-        """(bosons, spin-up fermions, spin-down fermions)."""
-        a, b, d = self.n - self.m, self.m - self.mp, self.mp
-        if self.case == "bff":
-            return a, b, d
-        if self.case == "fbf":
-            return b, a, d
-        return d, a, b  # ffb
+        """(bosons, spin-up, spin-down) of the levels' (N-M, M-M', M'):
+        the bosons sit at grading 0, the fermions follow in level order."""
+        levels = (self.n - self.m, self.m - self.mp, self.mp)
+        b = GRADINGS[self.case].index(0)
+        return (levels[b],) + levels[:b] + levels[b + 1:]
+
+    @classmethod
+    def from_populations(cls, case: str, pops: tuple[int, int, int],
+                         L: float, c: float) -> "MixtureSpec":
+        """The spec whose :meth:`populations` are (N_B, N_up, N_down)."""
+        if case not in CASES:
+            raise InvalidConfig(f"unknown case {case!r}")
+        if min(pops) < 0:
+            raise InvalidConfig(f"populations (N_B, N_up, N_down) must be "
+                                f"non-negative, got {pops}")
+        b = GRADINGS[case].index(0)
+        p0, p1, p2 = pops[1:b + 1] + pops[:1] + pops[b + 1:]
+        return cls(case, p0 + p1 + p2, p1 + p2, p2, L, c)
 
     def replace_c(self, c: float) -> "MixtureSpec":
         return MixtureSpec(self.case, self.n, self.m, self.mp, self.L, c)
@@ -133,6 +145,10 @@ _COUPLINGS = {
             "ml": -0.5, "mm": None},
 }
 
+# Sign of each ``_COUPLINGS`` parameter, 0 where the term is absent.
+_SIGNS = {case: {k: (p > 0) - (p < 0) if p else 0 for k, p in cpl.items()}
+          for case, cpl in _COUPLINGS.items()}
+
 
 def theta(n_par: float, x, c: float):
     """Scattering phase Theta_n(x) = -2*arctan(x/(n*c)); odd in x.
@@ -155,47 +171,44 @@ def theta_prime(n_par: float, x, c: float):
         return -2.0 * a / (a * a + x * x)
 
 
+def _level_sums(spec: MixtureSpec) -> tuple[int, int, int]:
+    """Signed term counts (s_k, s_lambda, s_mu) of the three equations:
+    each pairwise term adds the sign of its ``_COUPLINGS`` parameter (0
+    where absent), the self-pair left out."""
+    s = _SIGNS[spec.case]
+    n, m, mp = spec.n, spec.m, spec.mp
+    return ((n - 1) * s["kk"] + m * s["kl"],
+            n * s["lk"] + (m - 1) * s["ll"] + mp * s["lm"],
+            m * s["ml"] + (mp - 1) * s["mm"])
+
+
 def required_parities(spec: MixtureSpec) -> tuple[int, int, int]:
     """Required parity (value mod 2) of the doubled quantum numbers.
 
-    0 means the family is integer-valued, 1 half-odd-valued. The rules
-    follow from counting the (-1) factors that each scattering term
-    contributes to the exponential form of the equations; they are fixed
-    by requiring e.g. that a single free particle can carry k = 0.
+    0 means integer-valued, 1 half-odd-valued. Each factor (x - ia)/(x + ia)
+    = -exp(2i arctan(x/a)) of the exponential form adds pi to level l's
+    logarithmic equation, and so does a grading sign: the family is
+    half-odd when s_l (:func:`_level_sums`) + eps_(l-1) + eps_l is odd,
+    eps being ``GRADINGS`` with eps_(-1) = 0. Lattice exact diagonalisation
+    disagrees at bff (N, M, M') = (2, 1, 0) and ffb (4, 2, 2): ROADMAP 1.
     """
-    n, m, mp = spec.n, spec.m, spec.mp
-    if spec.case == "bff":
-        return (n + m + 1) % 2, (n + mp + 1) % 2, (m + mp + 1) % 2
-    if spec.case == "fbf":
-        return (m + 1) % 2, (n + mp + 1) % 2, (m + 1) % 2
-    return (m + 1) % 2, (n + m + mp + 1) % 2, (m + 1) % 2  # ffb
+    s_k, s_lam, s_mu = _level_sums(spec)
+    e0, e1, e2 = GRADINGS[spec.case]
+    return (s_k + e0) % 2, (s_lam + e0 + e1) % 2, (s_mu + e1 + e2) % 2
 
 
 def auxiliary_bounds(spec: MixtureSpec) -> tuple[int, int]:
     """Doubled bounds (B_lambda, B_mu) on the auxiliary quantum numbers.
 
     Sending one lambda (or mu) to +-infinity with the other roots finite
-    turns each phase Theta_p of its equation into -+pi*sign(p), so its
-    counting function is bounded and a finite real root needs
-    |2J| < B_lambda (|2J'| < B_mu), with sigma = sign of the
-    ``_COUPLINGS`` parameter (0 where absent):
-
-      B_lambda = |N sigma(lk) + (M-1) sigma(ll) + M' sigma(lm)|
-      B_mu     = |M sigma(ml) + (M'-1) sigma(mm)|
-
-    i.e. (N-M', M-M'+1) for bff, (N-M', M) for fbf, (N-M+1+M', M) for
-    ffb. This is the Yang-Gaudin J_max (Takahashi, Thermodynamics of
-    One-Dimensional Solvable Models, CUP 1999, ch. 4 and 7).
+    turns each phase Theta_p of its equation into -+pi*sign(p), so a
+    finite real root needs |2J| < |s_lambda| (|2J'| < |s_mu|), with the
+    counts of :func:`_level_sums`: (N-M', M-M'+1) for bff, (N-M', M) for
+    fbf, (N-M+1+M', M) for ffb. This is the Yang-Gaudin J_max (Takahashi,
+    Thermodynamics of One-Dimensional Solvable Models, CUP 1999, ch. 4, 7).
     """
-    cpl = _COUPLINGS[spec.case]
-
-    def sigma(key: str) -> int:
-        return 0 if cpl[key] is None else int(np.sign(cpl[key]))
-
-    b_lam = abs(spec.n * sigma("lk") + (spec.m - 1) * sigma("ll")
-                + spec.mp * sigma("lm"))
-    b_mu = abs(spec.m * sigma("ml") + (spec.mp - 1) * sigma("mm"))
-    return b_lam, b_mu
+    _, s_lam, s_mu = _level_sums(spec)
+    return abs(s_lam), abs(s_mu)
 
 
 def _check_list(name: str, values: Sequence[int], count: int, parity: int) -> None:
@@ -399,21 +412,17 @@ def _finalize(spec: MixtureSpec, qn: QuantumNumberConfig,
     return RootSet(k=np.sort(r.k), lam=np.sort(r.lam), mu=np.sort(r.mu))
 
 
-# Signs of (sum I, sum J, sum J') in the total momentum, per case. They
-# follow from summing the logarithmic equations over all families: each
-# pairwise phase sum cancels by antisymmetry, leaving L*sum(k) equal to
-# 2*pi times a signed combination of the quantum numbers whose signs
-# track which equations carry the 2*pi*J term on which side. The
-# identity P = sum(k) holds for every solution (tested).
-_P_SIGNS = {"bff": (1, -1, 1), "fbf": (1, 1, -1), "ffb": (1, 1, 1)}
-
-
 def energy_momentum(spec: MixtureSpec, qn: QuantumNumberConfig,
                     roots: RootSet) -> Observables:
-    """E = sum k_j^2; P = (2 pi / L) * signed quantum-number sum = sum k_j."""
+    """E = sum k_j^2; P = sum k_j = (2 pi/L)(sum I + s_J sum J + s_J' sum J').
+
+    Summing the equations turns each cross sum into -+ the partner's 2 pi J
+    sum: s_J = -sigma(kl) sigma(lk), s_J' = s_J sigma(lm) sigma(ml).
+    """
     e = float(np.dot(roots.k, roots.k))
-    si, sj, sjp = _P_SIGNS[spec.case]
-    doubled = (si * sum(qn.two_i) + sj * sum(qn.two_j)
-               + sjp * sum(qn.two_jp))
+    s = _SIGNS[spec.case]
+    sj = -s["kl"] * s["lk"]
+    sjp = sj * s["lm"] * s["ml"]
+    doubled = sum(qn.two_i) + sj * sum(qn.two_j) + sjp * sum(qn.two_jp)
     p = 2.0 * np.pi / spec.L * (doubled / 2.0)
     return Observables(E=e, P=p)

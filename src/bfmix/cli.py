@@ -183,9 +183,8 @@ def _cmd_excite(args) -> int:
         else [args.family]
     if args.case != "bff" and "two-fermions" in names:
         names.remove("two-fermions")
-    gs = MixtureSpec(args.case, args.n,
-                     *excitations.ground_populations(args.case, args.n),
-                     args.l, args.c)
+    gs = MixtureSpec.from_populations(args.case, (args.n, 0, 0), args.l,
+                                      args.c)
 
     rows = [(name,) + pt.params + ((float("nan"),) * (2 - len(pt.params)))
             + (pt.p, pt.de, pt.status)
@@ -321,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phase", help="phase-diagram grid scan")
     p.add_argument("--regime", required=True,
                    choices=("weak", "strong", "general"))
-    p.add_argument("--n", type=int, default=42)
+    p.add_argument("--n", type=int, default=42,
+                   help=f"particle number, 1..{phases.MAX_PARTICLES}")
     p.add_argument("--l", type=float, default=42.0)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--mu-b", type=float, default=1.0)

@@ -13,8 +13,9 @@ rearranging finitely many quantum numbers:
   each with the third-level number forced to zero).
 
 Each generated configuration is parity-valid for its population by
-construction. Energies are always reported relative to the ordering's
-global (all-boson) ground state.
+construction. Sectors are named by populations (N_B, N_up, N_down):
+(N, 0, 0) for the ground state, (N-1, 1, 0) for one fermion. Energies
+are always reported relative to the ordering's all-boson ground state.
 
 All three orderings describe the same physical states: solved spectra
 agree state by state in (E, P) once the quantum numbers are mapped
@@ -73,22 +74,15 @@ def _two(value: float, name: str) -> int:
     return int(doubled)
 
 
-def ground_populations(case: str, n: int) -> tuple[int, int]:
-    """(M, M') of the ordering's all-boson ground state."""
-    return {"bff": (0, 0), "fbf": (n, 0), "ffb": (n, n)}[case]
-
-
-def _require_ground_population(spec: MixtureSpec) -> None:
-    want = ground_populations(spec.case, spec.n)
-    if (spec.m, spec.mp) != want:
-        raise InvalidConfig(
-            f"{spec.case} ground state has (M, M') = {want}, "
-            f"got ({spec.m}, {spec.mp})")
+def _require_populations(spec: MixtureSpec, want: tuple, sector: str) -> None:
+    if spec.populations() != want:
+        raise InvalidConfig(f"the {sector} has populations (N_B, N_up, "
+                            f"N_down) = {want}, got {spec.populations()}")
 
 
 def ground_state_numbers(spec: MixtureSpec) -> QuantumNumberConfig:
     """Symmetric consecutive quantum numbers of the all-boson ground state."""
-    _require_ground_population(spec)
+    _require_populations(spec, (spec.n, 0, 0), "ground state")
     pi_, pj, pjp = required_parities(spec)
     runs = []
     for count, parity in ((spec.n, pi_), (spec.m, pj), (spec.mp, pjp)):
@@ -201,18 +195,13 @@ def particle_hole_numbers(spec: MixtureSpec, hole_position: int,
                                base.two_j, base.two_jp)
 
 
-def _one_fermion_population(case: str, n: int) -> tuple[int, int]:
-    """(M, M') of the one-spin-up-fermion sector per ordering."""
-    return {"bff": (1, 0), "fbf": (n - 1, 0), "ffb": (n - 1, n - 1)}[case]
-
-
 def add_fermion_numbers(spec: MixtureSpec, j1: float, *,
                         i_hole: Optional[float] = None
                         ) -> QuantumNumberConfig:
     """One-fermion-sector configuration parameterized by J1.
 
-    The sector replaces one boson by a spin-up fermion; its population
-    per ordering is bff (M, M') = (1, 0); fbf (N-1, 0); ffb
+    The sector replaces one boson by a spin-up fermion: populations
+    (N-1, 1, 0), i.e. bff (M, M') = (1, 0); fbf (N-1, 0); ffb
     (N-1, N-1). All three orderings share one structure (their solved
     spectra coincide state by state):
 
@@ -226,10 +215,7 @@ def add_fermion_numbers(spec: MixtureSpec, j1: float, *,
       remaining boson sea; no freedom).
     """
     n = spec.n
-    want = _one_fermion_population(spec.case, n)
-    if (spec.m, spec.mp) != want:
-        raise InvalidConfig(
-            f"one-fermion sector of {spec.case} has (M, M') = {want}")
+    _require_populations(spec, (n - 1, 1, 0), "one-fermion sector")
     two_j1 = _two(j1, "J1")
     pj = required_parities(spec)[1]
     if two_j1 % 2 != pj:
@@ -323,8 +309,8 @@ def _add_fermion_sweep(spec: MixtureSpec, family: AddOneFermion
                        ) -> list[tuple[tuple, MixtureSpec,
                                        QuantumNumberConfig]]:
     n = spec.n
-    m, mp = _one_fermion_population(spec.case, n)
-    sub = MixtureSpec(spec.case, n, m, mp, spec.L, spec.c)
+    sub = MixtureSpec.from_populations(spec.case, (n - 1, 1, 0),
+                                       spec.L, spec.c)
     two_js = _parity_values(-(n - 2), n - 2, required_parities(sub)[1])
     window = _sym_run(n + 1)
     variants = window if family.all_variants else (None,)
@@ -350,7 +336,7 @@ def dispersion(spec: MixtureSpec,
     run its coupling ladder from the default seed. Failed points are kept
     with status "failed" (P from the exact quantum numbers, dE = nan).
     """
-    _require_ground_population(spec)
+    _require_populations(spec, (spec.n, 0, 0), "ground state")
     qn0 = ground_state_numbers(spec)
     roots0 = solve(spec, qn0)
     e0 = energy_momentum(spec, qn0, roots0).E
@@ -367,6 +353,9 @@ def dispersion(spec: MixtureSpec,
     elif isinstance(family, AddOneFermion):
         entries.extend(_add_fermion_sweep(spec, family))
     elif isinstance(family, TwoFermions):
+        if n < 2:
+            raise InvalidConfig(
+                f"two-fermions family needs N >= 2, got N = {n}")
         sub = MixtureSpec("bff", n, 2, family.mp, spec.L, spec.c)
         slots = _parity_values(-(n - 1), n - 1, required_parities(sub)[1])
         for i, ta in enumerate(slots):

@@ -43,6 +43,9 @@ import numpy as np
 from .bae import InvalidConfig, MixtureSpec, NonConvergence
 from .excitations import sector_ground
 
+# Largest n of a phase table (weak regime, n = 3000: 37 s and 481 MB).
+MAX_PARTICLES = 1000
+
 
 @dataclass(frozen=True)
 class FieldPoint:
@@ -152,9 +155,8 @@ def free_sea_energy(count: int) -> int:
         raise ValueError("count must be non-negative")
     if count % 2:
         return (count ** 3 - count) // 12
-    half = count // 2
-    return 2 * sum(j * j for j in range(1, half)) + half * half if count \
-        else 0
+    h = count // 2  # levels -(h-1)..h: 2 * sum_{j<h} j^2 + h^2
+    return (h - 1) * h * (2 * h - 1) // 3 + h * h
 
 
 def weak_coupling_phase(fields: FieldPoint, n: int,
@@ -175,8 +177,8 @@ def sector_energy_table(c: float, n: int, L: float
     """Ground energies of every admissible (M, M') sector at coupling c.
 
     Sectors are labeled by (M, M') with populations (N-M, M-M', M') and
-    solved in the ffb ordering — populations (M', N-M, M-M') map to the
-    ffb spec (N, N-M+M', N-M) — because that ordering reaches every
+    solved in the ffb ordering (:meth:`MixtureSpec.from_populations`
+    maps the populations to its spec) because that ordering reaches every
     admissible sector with real roots (the bff ordering needs non-real
     root pairs once both fermion species coexist with bosons). Each
     sector is solved once and its energy shared with its spin mirror;
@@ -185,7 +187,7 @@ def sector_energy_table(c: float, n: int, L: float
     """
     energy, excluded = {}, []
     for m, mp in young_sectors(n):
-        spec = MixtureSpec("ffb", n, n - m + mp, n - m, L, c)
+        spec = MixtureSpec.from_populations("ffb", (n - m, m - mp, mp), L, c)
         try:
             energy[(m, mp)] = sector_ground(spec)[2].E
         except NonConvergence:
@@ -220,8 +222,8 @@ def _phase_point(regime: str, fields: FieldPoint, n: int, L: float,
 def _regime_table(regime: str, n: int, L: float, c: float = 1.0
                   ) -> tuple[np.ndarray, np.ndarray, tuple]:
     """(populations, energies, excluded sectors) of one regime's candidates."""
-    if n < 1:
-        raise InvalidConfig(f"particle number must be at least 1, got {n}")
+    if not 1 <= n <= MAX_PARTICLES:
+        raise InvalidConfig(f"need 1 <= n <= {MAX_PARTICLES}, got n = {n}")
     if not (np.isfinite(L) and L > 0):
         raise InvalidConfig(f"box length must be finite and positive, got {L}")
     excluded: tuple = ()

@@ -34,7 +34,6 @@ from bfmix.excitations import (
     TwoFermions,
     density_histogram,
     dispersion,
-    ground_populations,
     ground_state_numbers,
     sector_ground,
 )
@@ -65,8 +64,7 @@ def _criterion(capsys, num, name):
 
 
 def _all_boson_spec(case, n, L, c):
-    m, mp = ground_populations(case, n)
-    return MixtureSpec(case, n, m, mp, float(L), c)
+    return MixtureSpec.from_populations(case, (n, 0, 0), float(L), c)
 
 
 # ----------------------------------------------------------------------------

@@ -20,14 +20,13 @@ from bfmix.bae import (_COUPLINGS, InvalidConfig, MixtureSpec,
                        default_initial_guess, energy_momentum, jacobian,
                        required_parities, residual, solve, theta,
                        theta_prime, validate)
-from bfmix.excitations import ground_populations, ground_state_numbers
+from bfmix.excitations import ground_state_numbers
 
 ALL_CASES = ("bff", "fbf", "ffb")
 
 
 def _all_boson(case: str, n: int, L: float, c: float) -> MixtureSpec:
-    m, mp = ground_populations(case, n)
-    return MixtureSpec(case, n, m, mp, L, c)
+    return MixtureSpec.from_populations(case, (n, 0, 0), L, c)
 
 
 # ---------------------------------------------------------------- theta
@@ -77,6 +76,76 @@ def test_populations_by_ordering():
     for case in ALL_CASES:
         pops = MixtureSpec(case, 5, 3, 1, 1.0, 1.0).populations()
         assert sum(pops) == 5 and all(p >= 0 for p in pops)
+
+
+# The hand-written per-ordering tables that the derivations from
+# ``_COUPLINGS`` and ``GRADINGS`` replaced, kept as oracles.
+
+def _hand_parities(case, n, m, mp):
+    if case == "bff":
+        return (n + m + 1) % 2, (n + mp + 1) % 2, (m + mp + 1) % 2
+    if case == "fbf":
+        return (m + 1) % 2, (n + mp + 1) % 2, (m + 1) % 2
+    return (m + 1) % 2, (n + m + mp + 1) % 2, (m + 1) % 2  # ffb
+
+
+_HAND_P_SIGNS = {"bff": (1, -1, 1), "fbf": (1, 1, -1), "ffb": (1, 1, 1)}
+
+
+def _hand_populations(case, n, m, mp):
+    a, b, d = n - m, m - mp, mp
+    if case == "bff":
+        return a, b, d
+    if case == "fbf":
+        return b, a, d
+    return d, a, b  # ffb
+
+
+def _hand_bounds(case, n, m, mp):
+    return {"bff": (n - mp, m - mp + 1), "fbf": (n - mp, m),
+            "ffb": (n - m + 1 + mp, m)}[case]
+
+
+def test_derived_rules_match_hand_tables():
+    # every spec with N <= 40 in every ordering: parities, momentum signs,
+    # populations (and their inverse) and auxiliary bounds are == the
+    # hand-written tables
+    checked = 0
+    for case in ALL_CASES:
+        for n in range(1, 41):
+            for m in range(n + 1):
+                for mp in range(m + 1):
+                    spec = MixtureSpec(case, n, m, mp, 3.0, 1.0)
+                    assert required_parities(spec) \
+                        == _hand_parities(case, n, m, mp)
+                    pops = spec.populations()
+                    assert pops == _hand_populations(case, n, m, mp)
+                    assert MixtureSpec.from_populations(
+                        case, pops, 3.0, 1.0) == spec
+                    assert bae.auxiliary_bounds(spec) \
+                        == _hand_bounds(case, n, m, mp)
+                    # distinct weights 1, 100, 10000 per family expose
+                    # each sign of the quantum-number sums in P
+                    qn = QuantumNumberConfig((1,) * n, (100,) * m,
+                                             (10000,) * mp)
+                    roots = RootSet(np.zeros(n), np.zeros(m), np.zeros(mp))
+                    si, sj, sjp = _HAND_P_SIGNS[case]
+                    doubled = si * n + sj * 100 * m + sjp * 10000 * mp
+                    assert energy_momentum(spec, qn, roots).P \
+                        == 2.0 * np.pi / spec.L * (doubled / 2.0)
+                    checked += 1
+    assert checked == 3 * sum((n + 1) * (n + 2) // 2 for n in range(1, 41))
+
+
+def test_from_populations_rejects_bad_input():
+    for pops in ((-1, 2, 0), (3, -1, 1), (3, 1, -2)):
+        for case in ALL_CASES:
+            with pytest.raises(InvalidConfig, match="non-negative"):
+                MixtureSpec.from_populations(case, pops, 5.0, 1.0)
+    with pytest.raises(InvalidConfig, match="unknown case"):
+        MixtureSpec.from_populations("xyz", (1, 0, 0), 5.0, 1.0)
+    with pytest.raises(InvalidConfig, match="at least one particle"):
+        MixtureSpec.from_populations("bff", (0, 0, 0), 5.0, 1.0)
 
 
 def test_validate_enforces_count_parity_order():

@@ -272,9 +272,15 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
         for bad_mu_b in ("0", "-1", "nan"):  # the ratio axis needs mu_b > 0
             assert main(["phase", "--regime", regime, "--mu-b", bad_mu_b]
                         + grid) == EXIT_USAGE
-        for bad_n in ("0", "-3"):  # at least one particle
+        for bad_n in ("0", "-3", "1001"):  # 1 <= n <= MAX_PARTICLES
             assert main(["phase", "--regime", regime, "--n", bad_n, "--l",
                          "3", "--ratio", "0", "--h", "0"]) == EXIT_USAGE
+    capsys.readouterr()
+    # the two-fermions family names its own need, not a derived spec
+    assert main(["excite", "--case", "bff", "--n", "1", "--l", "1",
+                 "--c", "1"]) == EXIT_USAGE
+    assert "two-fermions family needs N >= 2, got N = 1" \
+        in capsys.readouterr().err
     assert main([]) == EXIT_USAGE
     capsys.readouterr()
 

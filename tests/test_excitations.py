@@ -24,8 +24,7 @@ from bfmix.excitations import (AddOneFermion, GroundState, ParticleHole,
                                _parity_values, _sector_candidates,
                                _sym_run, add_fermion_numbers,
                                density_histogram,
-                               dispersion, ground_populations,
-                               ground_state_numbers, particle_hole_numbers,
+                               dispersion, ground_state_numbers, particle_hole_numbers,
                                sector_ground, two_fermion_numbers)
 from bfmix.phases import young_sectors
 
@@ -33,7 +32,7 @@ ALL_CASES = ("bff", "fbf", "ffb")
 
 
 def _gs_spec(case: str, n: int, L: float, c: float) -> MixtureSpec:
-    return MixtureSpec(case, n, *ground_populations(case, n), L, c)
+    return MixtureSpec.from_populations(case, (n, 0, 0), L, c)
 
 
 # ------------------------------------------------------------- builders

@@ -76,6 +76,15 @@ def test_free_sea_energy_matches_brute_force():
         assert free_sea_energy(count) == _brute_free_sea(count)
 
 
+def test_free_sea_energy_closed_form_matches_level_sum():
+    # the even-count closed form equals the explicit sum over the levels
+    # -(h-1)..h, as exact ints, for every count up to 3000
+    for count in range(0, 3001, 2):
+        h = count // 2
+        assert free_sea_energy(count) \
+            == 2 * sum(j * j for j in range(1, h)) + h * h
+
+
 def test_free_sea_energy_staircase_frozen():
     assert [free_sea_energy(p) for p in range(9)] == [0, 0, 1, 2, 6, 10, 19, 28, 44]
     # marginal costs come in equal pairs of perfect squares: 0, 1,1, 4,4, 9,9, ...
