@@ -17,8 +17,19 @@ satisfies the Yang-Baxter relation on the triple tensor space *provided*
 the operator acting on the outer pair of factors is embedded with graded
 signs (see :func:`embed_pair`). The ordinary (sign-free) embedding fails
 for these signed permutations; both embeddings are exposed so the failure
-is checkable. :func:`ybe_residual` embeds the signed permutations once per
-(case, embedding) and reuses them for every draw.
+is checkable.
+
+:func:`ybe_residual` takes one draw (scalars alpha, beta) or a sweep
+(equal-length 1-D arrays) and runs both through one path, in blocks of a
+few draws. Every entry of an embedded R is (alpha*e - i*c*p)/(alpha + i*c)
+for its pair (e, p) of identity and permutation entries, and the triple
+space has at most six such pairs, (0, 0) among them. So a block divides
+only those few values per draw for all three R at once, gathers the three
+27x27 R from them, and forms both sides of the relation in two stacked
+products.
+The bits are those of building R entry by entry: every nonzero entry takes
+the same IEEE operations, a NaN alpha reaches every entry through (0, 0),
+and a stacked matmul runs the same gemm on each draw.
 
 Complex arithmetic stays inside this module; everything downstream of it
 works with real numbers only.
@@ -71,10 +82,12 @@ def r_matrix(case: str, alpha: float, c: float) -> np.ndarray:
     return _rational_r(alpha, c, permutation_matrix(case), np.eye(9))
 
 
-def _rational_r(alpha: float, c: float, p: np.ndarray,
+def _rational_r(alpha, c: float, p: np.ndarray,
                 eye: np.ndarray) -> np.ndarray:
     """(alpha*eye - i*c*p) / (alpha + i*c): R from a signed permutation p
-    on either the pair space or, embedded, the triple space."""
+    on the pair space, or the distinct entries of R12, R13 and R23 on the
+    triple space from those of the embedded p and I (alpha holding each
+    entry's argument, one row per draw)."""
     if not 0 < c < math.inf:
         raise ValueError(f"coupling c must be finite and positive, got {c!r}")
     return (alpha * eye - 1j * c * p) / (alpha + 1j * c)
@@ -115,22 +128,40 @@ def embed_pair(x: np.ndarray, positions: tuple[int, int], case: str,
     return out.reshape(27, 27)
 
 
+#: Draws per stacked product in :func:`ybe_residual`. Time is flat from 8
+#: draws up, while each doubling adds to the peak memory of a sweep.
+_BLOCK = 8
+
+
 @functools.lru_cache(maxsize=2 * len(CASES))
 def _embedded_permutations(case: str, embedding: str) -> tuple[np.ndarray, ...]:
-    """Read-only I, P12, P13, P23 on the triple space: the identity and
-    the signed permutation embedded on the factor pairs (0, 1), (0, 2)
-    and (1, 2). Built on first use: a numpy operation at import time
-    raised the peak RSS of every CLI run by about 0.1 MB."""
+    """Read-only ``(e_vals, p_vals, arg, index)`` for the factor pairs
+    (0, 1), (0, 2), (1, 2) at once: the distinct (I, P) entry pairs of the
+    identity and of the signed permutation embedded on each factor pair,
+    ``arg`` the factor pair (0, 1 or 2) each distinct pair belongs to, and
+    the (3, 729) index of every entry's pair, so ``e_vals[index]`` is I
+    and ``p_vals[index]`` is (P12, P13, P23), raveled. Built on first use:
+    a numpy operation at import time raised the peak RSS of every CLI run
+    by about 0.1 MB."""
     p = permutation_matrix(case)
-    out = (np.eye(27),) + tuple(embed_pair(p, pos, case, embedding)
-                                for pos in ((0, 1), (0, 2), (1, 2)))
-    for x in out:
+    eye = np.eye(27).ravel()
+    e_vals, p_vals, arg, index = [], [], [], []
+    for k, pos in enumerate(((0, 1), (0, 2), (1, 2))):
+        pairs = np.stack([eye, embed_pair(p, pos, case, embedding).ravel()],
+                         axis=1)
+        distinct, inverse = np.unique(pairs, axis=0, return_inverse=True)
+        index.append(inverse.reshape(-1) + len(arg))
+        e_vals.extend(distinct[:, 0])
+        p_vals.extend(distinct[:, 1])
+        arg.extend([k] * len(distinct))
+    tables = tuple(np.array(x) for x in (e_vals, p_vals, arg, index))
+    for x in tables:
         x.flags.writeable = False
-    return out
+    return tables
 
 
-def ybe_residual(case: str, alpha: float, beta: float, c: float,
-                 embedding: str = "graded") -> float:
+def ybe_residual(case: str, alpha, beta, c: float,
+                 embedding: str = "graded"):
     """Max-norm residual of the Yang-Baxter relation on the triple space.
 
     Checks R12(alpha-beta) R13(alpha) R23(beta)
@@ -139,14 +170,29 @@ def ybe_residual(case: str, alpha: float, beta: float, c: float,
     yields residuals at machine precision for all three cases; the
     ordinary embedding does not (kept for demonstration).
 
-    Each R is built on the embedded permutation by the arithmetic of
-    :func:`r_matrix`, so it equals ``embed_pair(r_matrix(...))`` entry
-    for entry.
+    With scalars ``alpha`` and ``beta`` it returns a float; with
+    equal-length 1-D arrays, a float array of one residual per draw,
+    each ``==`` to the scalar call on that draw. Other shapes raise
+    ValueError, and a bad ``c`` raises even for empty arrays. Each R
+    takes the few distinct values of its entries from the arithmetic of
+    :func:`r_matrix` and gathers them, so it equals
+    ``embed_pair(r_matrix(...))`` in every nonzero entry.
     """
-    eye, p12, p13, p23 = _embedded_permutations(case, embedding)
-    r12 = _rational_r(alpha - beta, c, p12, eye)
-    r13 = _rational_r(alpha, c, p13, eye)
-    r23 = _rational_r(beta, c, p23, eye)
-    lhs = r12 @ r13 @ r23
-    rhs = r23 @ r13 @ r12
-    return float(np.abs(lhs - rhs).max())
+    a, b = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    if a.shape != b.shape or a.ndim > 1:
+        raise ValueError("alpha and beta must be scalars or equal-length "
+                         f"1-D arrays, got shapes {a.shape} and {b.shape}")
+    e_vals, p_vals, arg, index = _embedded_permutations(case, embedding)
+    # one row (alpha - beta, alpha, beta) per draw: the arguments of
+    # R12, R13 and R23
+    args = np.array((a - b, a, b)).reshape(3, -1).T
+    out = np.empty(len(args))
+    # at least one block, so that an empty sweep still checks c
+    for lo in range(0, max(len(args), 1), _BLOCK):
+        r = (_rational_r(args[lo:lo + _BLOCK, arg], c, p_vals, e_vals)
+             .take(index, axis=1).reshape(-1, 3, 27, 27))
+        # (R12, R23) @ R13 @ (R23, R12): both sides in two stacked products
+        sides = r[:, ::2] @ r[:, 1:2] @ r[:, ::-2]
+        out[lo:lo + _BLOCK] = np.abs(sides[:, 0]
+                                     - sides[:, 1]).max(axis=(1, 2))
+    return float(out[0]) if a.ndim == 0 else out

@@ -122,8 +122,13 @@ def _cmd_ybe_check(args) -> int:
     couplings = _parse_floats(args.c)
     if not (np.isfinite(couplings).all() and min(couplings) > 0):
         raise InvalidConfig(f"couplings must be finite and > 0, got {args.c!r}")
-    if not 0 <= args.num <= _MAX_RANGE_POINTS:
-        raise InvalidConfig(f"--num must lie in [0, {_MAX_RANGE_POINTS}]")
+    if args.num < 0:
+        raise InvalidConfig(f"--num must be >= 0, got {args.num}")
+    draws = args.num * len(cases) * len(couplings)
+    if draws > _MAX_RANGE_POINTS:  # every row is held, about 0.2 KB a draw
+        raise InvalidConfig(
+            f"--num x cases x couplings = {args.num} x {len(cases)} x "
+            f"{len(couplings)} = {draws} draws, more than {_MAX_RANGE_POINTS}")
     if not (np.isfinite(args.tol) and args.tol > 0):
         raise InvalidConfig(f"--tol must be finite and > 0, got {args.tol!r}")
     rng = np.random.default_rng(args.seed)
@@ -132,6 +137,8 @@ def _cmd_ybe_check(args) -> int:
     for case in cases:
         for c in couplings:
             pts = rng.uniform(-10.0, 10.0, size=(args.num, 2))
+            # one call per draw: the traced `algebra.ybe_residual.calls`
+            # of perfbench count draws
             for alpha, beta in pts:
                 res = algebra.ybe_residual(case, alpha, beta, c)
                 rows.append((case, c, alpha, beta, res))
@@ -280,7 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ybe-check", help="scattering-consistency residuals")
     p.add_argument("--cases", default="bff,fbf,ffb")
     p.add_argument("--c", default="0.1,1,100")
-    p.add_argument("--num", type=int, default=1000)
+    p.add_argument("--num", type=int, default=1000,
+                   help="draws per (case, c); --num x cases x couplings "
+                        f"must not exceed {_MAX_RANGE_POINTS} "
+                        "(default %(default)s)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--out")

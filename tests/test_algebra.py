@@ -174,23 +174,72 @@ def test_ybe_residual_equals_embedding_each_draw(case):
 def test_embedded_permutations_cached_read_only():
     for case in CASES:
         for embedding in ("graded", "ordinary"):
-            mats = _embedded_permutations(case, embedding)
-            assert _embedded_permutations(case, embedding) is mats
-            assert np.array_equal(mats[0], np.eye(27))
-            for m, pos in zip(mats[1:], ((0, 1), (0, 2), (1, 2))):
-                assert np.array_equal(m, embed_pair(permutation_matrix(case),
-                                                    pos, case, embedding))
-            for m in mats:
-                assert not m.flags.writeable
+            tables = _embedded_permutations(case, embedding)
+            assert _embedded_permutations(case, embedding) is tables
+            e_vals, p_vals, arg, index = tables
+            p = permutation_matrix(case)
+            assert len(e_vals) == len(p_vals) == len(arg)
+            assert index.shape == (3, 729)
+            # the tables rebuild I and the three embedded permutations
+            for k, pos in enumerate(((0, 1), (0, 2), (1, 2))):
+                own = arg == k
+                assert 0 < own.sum() <= 6
+                assert (arg[index[k]] == k).all()
+                assert np.array_equal(e_vals[index[k]].reshape(27, 27),
+                                      np.eye(27))
+                assert np.array_equal(p_vals[index[k]].reshape(27, 27),
+                                      embed_pair(p, pos, case, embedding))
+            for x in tables:
+                assert not x.flags.writeable
                 with pytest.raises(ValueError):
-                    m[0, 0] = 2.0
+                    x.flat[0] = 2
+    for _ in range(2):  # an exception is not cached: the second call raises
+        with pytest.raises(ValueError):
+            _embedded_permutations("xyz", "graded")
+        with pytest.raises(ValueError):
+            _embedded_permutations("bff", "sideways")
     assert _embedded_permutations.cache_info().currsize <= 6
+
+
+_SWEEP_LENGTHS = (0, 1, 7, 8, 9, 1000)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_ybe_residual_array_equals_scalar_calls(case):
+    # a sweep runs in blocks of draws; every length around a block edge
+    # gives each draw the bits of its own scalar call
+    rng = np.random.default_rng(17)
+    for embedding in ("graded", "ordinary"):
+        for c in (0.1, 1.0, 100.0):
+            for n in _SWEEP_LENGTHS:
+                alpha, beta = rng.uniform(-10.0, 10.0, size=(2, n))
+                got = ybe_residual(case, alpha, beta, c, embedding)
+                assert isinstance(got, np.ndarray)
+                assert got.shape == (n,) and got.dtype == float
+                want = [ybe_residual(case, a, b, c, embedding)
+                        for a, b in zip(alpha, beta)]
+                assert all(isinstance(w, float) for w in want)
+                assert got.tolist() == want
+
+
+def test_ybe_residual_array_nan_stays_in_its_slot():
+    alpha = np.linspace(-3.0, 3.0, 11)
+    beta = np.linspace(2.0, -1.0, 11)
+    alpha[5] = np.nan
+    # NaN warns in the complex division, as the scalar call does
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        got = ybe_residual("fbf", alpha, beta, 1.0)
+    assert np.isnan(got[5])
+    rest = np.delete(np.arange(11), 5)
+    assert np.isfinite(got[rest]).all() and got[rest].max() < 1e-10
 
 
 def test_ybe_residual_rejects_bad_input():
     for c in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             ybe_residual("bff", 0.3, 0.1, c)
+        with pytest.raises(ValueError):  # even with no draw to build
+            ybe_residual("bff", np.zeros(0), np.zeros(0), c)
         with pytest.raises(ValueError):
             r_matrix("bff", 0.3, c)
     for _ in range(2):  # an exception is not cached: the second call raises
@@ -198,6 +247,12 @@ def test_ybe_residual_rejects_bad_input():
             ybe_residual("xyz", 0.3, 0.1, 1.0)
         with pytest.raises(ValueError):
             ybe_residual("bff", 0.3, 0.1, 1.0, embedding="sideways")
+    # draws are scalars or equal-length 1-D arrays
+    for alpha, beta in ((np.zeros(3), np.zeros(4)),
+                        (np.zeros((2, 2)), np.zeros((2, 2))),
+                        (np.zeros(3), 0.5), (0.5, np.zeros(1))):
+        with pytest.raises(ValueError):
+            ybe_residual("bff", alpha, beta, 1.0)
 
 
 def test_yang_baxter_ordinary_embedding_fails():

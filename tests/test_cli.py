@@ -17,6 +17,7 @@ import sys
 import tomllib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bfmix import algebra, bae, thermo
@@ -142,6 +143,28 @@ def test_ybe_check_fails_on_nan_residual(tmp_path, monkeypatch):
     assert rc == EXIT_NUMERICAL
 
 
+def test_ybe_check_with_no_draws_writes_header_only(tmp_path, capsys):
+    out = tmp_path / "y.csv"
+    assert main(["ybe-check", "--num", "0", "--out", str(out)]) == EXIT_OK
+    assert _read_csv(out) == ("case,c,alpha,beta,residual", [])
+    assert "over 0 checks" in capsys.readouterr().err
+
+
+def test_ybe_check_rows_equal_scalar_calls(tmp_path):
+    # every row holds the bits of the scalar call on its draw
+    out = tmp_path / "y.csv"
+    assert main(["ybe-check", "--num", "19", "--cases", "ffb", "--c", "0.5",
+                 "--out", str(out)]) == EXIT_OK
+    _, rows = _read_csv(out)
+    draws = np.random.default_rng(0).uniform(-10.0, 10.0, size=(19, 2))
+    assert len(rows) == 19
+    for line, (alpha, beta) in zip(rows, draws):
+        case, c, a, b, res = line.split(",")
+        assert (case, float(c), float(a), float(b)) == ("ffb", 0.5, alpha,
+                                                        beta)
+        assert float(res) == algebra.ybe_residual("ffb", alpha, beta, 0.5)
+
+
 def test_excite_sweeps_families(tmp_path):
     out = tmp_path / "exc.csv"
     rc = main(["excite", "--case", "bff", "--n", "4", "--l", "4", "--c", "1",
@@ -253,8 +276,10 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
         for bad in (["--c", "inf"], ["--c", "nan"], ["--c", "1,-1"],
                     ["--tol", "nan"], ["--tol", "-1"],
                     ["--num", "100000000000"], ["--num", "-1"],
+                    ["--num", "1000000"],  # x 3 cases x 3 couplings
                     ["--cases", "bff,xyz"]):
             assert main(["ybe-check"] + bad) == EXIT_USAGE
+        assert "1000000 x 3 x 3 = 9000000 draws" in capsys.readouterr().err
     with monkeypatch.context() as m:  # rejected before the profile is solved
         m.setattr(thermo, "solve_ground_density",
                   lambda *a: pytest.fail("solved before validating"))
