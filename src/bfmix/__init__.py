@@ -8,7 +8,8 @@ from .algebra import CASES, GRADINGS, permutation_matrix, r_matrix, \
     ybe_residual
 from .bae import (InvalidConfig, MixtureSpec, NonConvergence, Observables,
                   QuantumNumberConfig, RootSet, energy_momentum,
-                  required_parities, residual, jacobian, solve, validate)
+                  required_parities, residual, jacobian, solve, solve_many,
+                  validate)
 from .excitations import (AddOneFermion, DispersionPoint, GroundState,
                           ParticleHole, TwoFermions, add_fermion_numbers,
                           density_histogram, dispersion,

@@ -29,7 +29,11 @@ signs of the total momentum and the population map) is derived from
 Solving uses damped Newton iteration with an analytic Jacobian and, when
 the direct attempt fails, downward continuation in the coupling from the
 well-conditioned regime around c = 100, where the asymptotic-lattice
-seed is nearly exact.
+seed is nearly exact. The iteration runs in lockstep over a stack of
+configurations of one spec (:func:`solve_many`; :func:`solve` is a stack
+of one), each member with its own line search, so stacking changes no
+member's bits: a stacked solve, last-axis sum or arctan gives what the
+one-member call gives. Pair terms are computed only where present.
 """
 from __future__ import annotations
 
@@ -44,6 +48,14 @@ from .algebra import CASES, GRADINGS
 _TOL = 1e-10
 _MAX_STEPS = 200
 _MAX_HALVINGS = 30
+
+# Float errors of the Newton iterates, each with a harmless limit: an
+# overflowing ratio saturates theta and zeroes theta_prime, inf - inf on a
+# diverging iterate gives a NaN that fails the line search, and at the
+# strong-coupling seed of c below about 1e-162 (root spacing of order c)
+# (x_i - x_j)**2 + (p*c)**2 underflows to 0, so theta_prime is -inf and the
+# line search rejects the NaN step before the coupling ladder takes over.
+_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
 class InvalidConfig(ValueError):
@@ -150,25 +162,46 @@ _SIGNS = {case: {k: (p > 0) - (p < 0) if p else 0 for k, p in cpl.items()}
           for case, cpl in _COUPLINGS.items()}
 
 
+def _theta_into(out: np.ndarray, a, where) -> np.ndarray:
+    """out <- -2*arctan(out / a) where ``where``; elsewhere out is kept."""
+    np.divide(out, a, out=out, where=where)
+    np.arctan(out, out=out, where=where)
+    return np.multiply(out, -2.0, out=out, where=where)
+
+
+def _theta_prime_into(out: np.ndarray, aa, neg2a, where) -> np.ndarray:
+    """out <- -2a / (a*a + out*out) where ``where``, given a*a and -2a."""
+    np.multiply(out, out, out=out, where=where)
+    np.add(out, aa, out=out, where=where)
+    return np.divide(neg2a, out, out=out, where=where)
+
+
+def _broadcast_copy(x, a) -> np.ndarray:
+    out = np.empty(np.broadcast(x, a).shape)
+    out[...] = x
+    return out
+
+
 def theta(n_par: float, x, c: float):
     """Scattering phase Theta_n(x) = -2*arctan(x/(n*c)); odd in x.
 
     Saturating and harmless for arbitrarily large |x| (diverging Newton
-    iterates pass through here), so float warnings are suppressed: an
-    overflowing ratio gives arctan(+-inf) = +-pi/2, the exact limit.
+    iterates pass through its kernel), so float warnings are suppressed:
+    an overflowing ratio gives arctan(+-inf) = +-pi/2, the exact limit.
     """
+    a = n_par * c
     with np.errstate(over="ignore", invalid="ignore"):
-        return -2.0 * np.arctan(np.asarray(x, dtype=float) / (n_par * c))
+        return _theta_into(_broadcast_copy(x, a), a, True)[()]
 
 
 def theta_prime(n_par: float, x, c: float):
     """d/dx Theta_n(x) = -2*n*c / ((n*c)**2 + x**2)."""
     a = n_par * c
-    x = np.asarray(x, dtype=float)
     # x*x may overflow to inf on diverging iterates; the limit 0 is the
     # correct derivative there, so the overflow warning is suppressed.
     with np.errstate(over="ignore"):
-        return -2.0 * a / (a * a + x * x)
+        return _theta_prime_into(_broadcast_copy(x, a), a * a, -2.0 * a,
+                                 True)[()]
 
 
 def _level_sums(spec: MixtureSpec) -> tuple[int, int, int]:
@@ -252,43 +285,100 @@ def _coupling_table(case: str, n: int, m: int,
     return par, present
 
 
-def _pair_terms(phase, spec: MixtureSpec, x: np.ndarray) -> np.ndarray:
-    """phase(par, x_i - x_j, c) where present, else exactly 0.
+@dataclass(frozen=True)
+class _Equations:
+    """The equations of a stack of configurations of one spec.
 
-    The mask, not a zero scale, removes absent pairs, so they stay 0
-    when a diverging iterate makes the phase inf or NaN.
+    Everything but the roots, built once per Newton run: the mask
+    ``present`` of :func:`_coupling_table`, a = par*c with a*a and -2a
+    (the constants of theta and theta_prime), and one row of constant
+    terms pi*(-2I, 2J, 2J') per member in ``rhs``.
     """
-    par, present = _coupling_table(spec.case, spec.n, spec.m, spec.mp)
-    with np.errstate(invalid="ignore"):  # inf - inf on diverging iterates
-        diff = x[:, None] - x[None, :]
-    return np.where(present, phase(par, diff, spec.c), 0.0)
+
+    present: np.ndarray
+    a: np.ndarray
+    aa: np.ndarray
+    neg2a: np.ndarray
+    rhs: np.ndarray
+
+    @classmethod
+    def build(cls, spec: MixtureSpec,
+              qns: Sequence[QuantumNumberConfig]) -> "_Equations":
+        par, present = _coupling_table(spec.case, spec.n, spec.m, spec.mp)
+        a = par * spec.c
+        rhs = np.pi * np.array([[-v for v in qn.two_i] + list(qn.two_j)
+                                + list(qn.two_jp) for qn in qns],
+                               dtype=float)
+        return cls(present, a, a * a, -2.0 * a, rhs)
+
+    def take(self, rows) -> "_Equations":
+        """The equations of the members ``rows`` (a mask, indices or a
+        slice)."""
+        return _Equations(self.present, self.a, self.aa, self.neg2a,
+                          self.rhs[rows])
 
 
-def residual(spec: MixtureSpec, qn: QuantumNumberConfig,
-             roots: RootSet) -> np.ndarray:
-    """Stacked residuals (F, G, H) of the logarithmic equations."""
-    x = _stack(roots)
-    r = np.pi * np.array([-v for v in qn.two_i] + list(qn.two_j)
-                         + list(qn.two_jp), dtype=float)
-    r[:spec.n] += x[:spec.n] * spec.L
-    return r - _pair_terms(theta, spec, x).sum(axis=1)
+def _pair_diffs(present: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x_i - x_j of each member's roots where present, else exactly 0.
+
+    The pair terms are computed from these only where present, so absent
+    pairs stay 0 when a diverging iterate makes a phase inf or NaN.
+    """
+    out = np.zeros(x.shape + x.shape[-1:])
+    return np.subtract(x[:, :, None], x[:, None, :], out=out, where=present)
 
 
-def jacobian(spec: MixtureSpec, qn: QuantumNumberConfig,
-             roots: RootSet) -> np.ndarray:
+def _residual(spec: MixtureSpec, eqs: _Equations,
+              x: np.ndarray) -> np.ndarray:
+    terms = _theta_into(_pair_diffs(eqs.present, x), eqs.a, eqs.present)
+    r = eqs.rhs.copy()
+    r[:, :spec.n] += x[:, :spec.n] * spec.L
+    return r - terms.sum(axis=-1)
+
+
+def _jacobian(spec: MixtureSpec, eqs: _Equations,
+              x: np.ndarray) -> np.ndarray:
+    jac = _theta_prime_into(_pair_diffs(eqs.present, x), eqs.aa, eqs.neg2a,
+                            eqs.present)
+    diag = -jac.sum(axis=-1)
+    diag[:, :spec.n] += spec.L
+    jac.reshape(len(x), -1)[:, ::x.shape[-1] + 1] = diag
+    return jac
+
+
+def residual(spec: MixtureSpec, qn: QuantumNumberConfig | _Equations,
+             roots: RootSet | np.ndarray) -> np.ndarray:
+    """Residuals (F, G, H) of the logarithmic equations, over x.
+
+    One configuration (``qn`` a QuantumNumberConfig, ``roots`` a RootSet)
+    gives shape (D,), D = N + M + M'. :func:`_newton` passes a stack
+    instead, ``qn`` the :class:`_Equations` of A members and ``roots``
+    their (A, D) root vectors, and gets (A, D); it holds the float-error
+    state for its whole run.
+    """
+    if isinstance(qn, QuantumNumberConfig):
+        with np.errstate(**_QUIET):
+            return _residual(spec, _Equations.build(spec, [qn]),
+                             _stack(roots)[None])[0]
+    return _residual(spec, qn, roots)
+
+
+def jacobian(spec: MixtureSpec, qn: QuantumNumberConfig | _Equations,
+             roots: RootSet | np.ndarray) -> np.ndarray:
     """Analytic Jacobian of :func:`residual` w.r.t. (k, lambda, mu).
 
     Off-diagonal entries are +theta_prime of the corresponding pair;
     each diagonal entry carries the box term (k rows only) minus the sum
     of its row's theta_prime couplings. Self-pair terms vanish exactly
     (the l = j summand is the constant Theta(0)), so an isolated free
-    particle has Jacobian [L].
+    particle has Jacobian [L]. Shape (D, D) for one configuration,
+    (A, D, D) for a stack, as in :func:`residual`.
     """
-    jac = _pair_terms(theta_prime, spec, _stack(roots))
-    diag = -jac.sum(axis=1)
-    diag[:spec.n] += spec.L
-    np.fill_diagonal(jac, diag)
-    return jac
+    if isinstance(qn, QuantumNumberConfig):
+        with np.errstate(**_QUIET):
+            return _jacobian(spec, _Equations.build(spec, [qn]),
+                             _stack(roots)[None])[0]
+    return _jacobian(spec, qn, roots)
 
 
 def default_initial_guess(spec: MixtureSpec,
@@ -315,43 +405,147 @@ def _split(spec: MixtureSpec, x: np.ndarray) -> RootSet:
     return RootSet(k=x[:n], lam=x[n:n + m], mu=x[n + m:])
 
 
-def _norm(r: np.ndarray) -> float:
-    """Residual 2-norm. On runaway iterates it overflows to inf, which
-    fails the line search's descent test as it should, so the overflow
-    warning is suppressed."""
-    with np.errstate(over="ignore"):
-        return float(np.linalg.norm(r))
+def _norms(r: np.ndarray) -> np.ndarray:
+    """Residual 2-norm of each row, bit for bit np.linalg.norm of it (a
+    dot product per row). On runaway iterates it overflows to inf, which
+    fails the line search's descent test as it should."""
+    return np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
 
 
-def _newton(spec: MixtureSpec, qn: QuantumNumberConfig,
-            x0: np.ndarray) -> np.ndarray:
-    """Damped Newton with backtracking on the residual 2-norm."""
+def _steps(jac: np.ndarray, r: np.ndarray
+           ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Newton steps -J^-1 r of a stack, and the mask of singular members
+    (None when there is none).
+
+    One stacked solve; only when some member is singular, which fails the
+    whole stack, is each member solved alone, with the same bits.
+    """
+    try:
+        return np.linalg.solve(jac, -r[:, :, None])[:, :, 0], None
+    except np.linalg.LinAlgError:
+        steps = np.empty_like(r)
+        singular = np.zeros(len(r), dtype=bool)
+        for i in range(len(r)):
+            try:
+                steps[i] = np.linalg.solve(jac[i], -r[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        return steps, singular
+
+
+#: Doubles in one stacked (A, D, D) temporary of :func:`_newton`. A longer
+#: stack runs in chunks of members, so memory at large D stays near that
+#: of one member.
+_STACK_DOUBLES = 2 ** 17
+
+
+def _newton(spec: MixtureSpec, qns: Sequence[QuantumNumberConfig],
+            x0: np.ndarray) -> list[np.ndarray | NonConvergence]:
+    """Damped Newton with backtracking on the residual 2-norm, in lockstep
+    over a stack of configurations of one spec.
+
+    ``x0`` holds one seed per configuration, shape (B, D). Returns, per
+    member, its converged root vector or the NonConvergence that stopped
+    it. Each member keeps its own line search, step length and best
+    residual, so its arithmetic is that of a run of its own. The float
+    errors of ``_QUIET`` are harmless and suppressed once for the run.
+    """
+    eqs = _Equations.build(spec, qns)
+    chunk = max(1, _STACK_DOUBLES // x0.shape[1] ** 2)
+    results = []
+    with np.errstate(**_QUIET):
+        for lo in range(0, len(qns), chunk):
+            rows = slice(lo, lo + chunk)
+            results += _lockstep(spec, eqs.take(rows), x0[rows])
+    return results
+
+
+def _lockstep(spec: MixtureSpec, eqs: _Equations,
+              x0: np.ndarray) -> list[np.ndarray | NonConvergence]:
+    """The Newton iteration of :func:`_newton` on one chunk of members."""
+    results: list[np.ndarray | NonConvergence] = [None] * len(x0)
+    ids = np.arange(len(x0))  # the member of each active row
     x = x0.copy()
-    r = residual(spec, qn, _split(spec, x))
-    best = float(np.abs(r).max())
+    r = residual(spec, eqs, x)
+    rmax = np.abs(r).max(axis=1)
+    best = rmax.copy()
+
+    def leave(mask, message=None):
+        """Record the members in ``mask`` as converged (no message) or
+        failed; return the mask of the members that stay."""
+        for i, xi, b in zip(ids[mask], x[mask], best[mask]):
+            results[i] = (xi if message is None
+                          else NonConvergence(message, float(b)))
+        return ~mask
+
     for _ in range(_MAX_STEPS):
-        if np.abs(r).max() < _TOL:
-            return x
-        jac = jacobian(spec, qn, _split(spec, x))
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            raise NonConvergence("singular Jacobian", best) from None
-        norm0 = _norm(r)
-        t = 1.0
-        for _ in range(_MAX_HALVINGS + 1):
-            x_new = x + t * step
-            r_new = residual(spec, qn, _split(spec, x_new))
-            if _norm(r_new) < norm0:
-                break
-            t *= 0.5
-        else:
-            raise NonConvergence("line search stalled", best)
+        done = rmax < _TOL
+        if done.any():
+            keep = leave(done)
+            ids, x, r, best = ids[keep], x[keep], r[keep], best[keep]
+            eqs = eqs.take(keep)
+            if not ids.size:
+                return results
+        step, singular = _steps(jacobian(spec, eqs, x), r)
+        if singular is not None:
+            keep = leave(singular, "singular Jacobian")
+            ids, x, r, best = ids[keep], x[keep], r[keep], best[keep]
+            eqs, step = eqs.take(keep), step[keep]
+            if not ids.size:
+                return results
+        norm0 = _norms(r)
+        x_new = x + step
+        r_new = residual(spec, eqs, x_new)
+        pending = np.flatnonzero(~(_norms(r_new) < norm0))
+        if pending.size:
+            stalled = _backtrack(spec, eqs, x, step, norm0, pending,
+                                 x_new, r_new)
+            if stalled.any():
+                keep = leave(stalled, "line search stalled")
+                ids, best, eqs = ids[keep], best[keep], eqs.take(keep)
+                x_new, r_new = x_new[keep], r_new[keep]
+                if not ids.size:
+                    return results
         x, r = x_new, r_new
-        best = min(best, float(np.abs(r).max()))
-    if np.abs(r).max() < _TOL:
-        return x
-    raise NonConvergence("Newton budget exhausted", best)
+        rmax = np.abs(r).max(axis=1)
+        # min(best, rmax) member by member: a NaN residual keeps best
+        best = np.where(rmax < best, rmax, best)
+    done = rmax < _TOL
+    leave(done)
+    leave(~done, "Newton budget exhausted")
+    return results
+
+
+def _backtrack(spec: MixtureSpec, eqs: _Equations, x: np.ndarray,
+               step: np.ndarray, norm0: np.ndarray, pending: np.ndarray,
+               x_new: np.ndarray, r_new: np.ndarray) -> np.ndarray:
+    """Halve the steps of the members ``pending``, whose full step did not
+    bring the residual 2-norm below ``norm0``, until it does.
+
+    They have all failed the same trials, so they share one step length.
+    Accepted iterates are written into ``x_new`` and ``r_new``. Returns
+    the mask of the members that stalled.
+    """
+    x, step, norm0 = x[pending], step[pending], norm0[pending]
+    eqs = eqs.take(pending)
+    t = 1.0
+    for _ in range(_MAX_HALVINGS):
+        t *= 0.5
+        x_try = x + t * step
+        r_try = residual(spec, eqs, x_try)
+        ok = _norms(r_try) < norm0
+        if ok.any():
+            x_new[pending[ok]] = x_try[ok]
+            r_new[pending[ok]] = r_try[ok]
+            keep = ~ok
+            pending, x, step, norm0 = (pending[keep], x[keep], step[keep],
+                                       norm0[keep])
+            eqs = eqs.take(keep)
+            if not pending.size:
+                break
+    stalled = np.zeros(len(x_new), dtype=bool)
+    stalled[pending] = True
+    return stalled
 
 
 def _reject_runaway(spec: MixtureSpec, x: np.ndarray) -> None:
@@ -371,6 +565,64 @@ def _reject_runaway(spec: MixtureSpec, x: np.ndarray) -> None:
             f"root escaped to {worst:.3e} (non-regular solution)", 0.0)
 
 
+def _ladder(spec: MixtureSpec, qns: Sequence[QuantumNumberConfig]
+            ) -> list[Optional[np.ndarray]]:
+    """Downward continuation in the coupling, as one stack per stage.
+
+    Re-solves at coupling 100 from the strong-coupling seed, then steps
+    down by factors of 0.8 to ``spec.c``, re-using each member's roots
+    between stages (for c >= 100 the ladder is the single stage
+    100 -> c). Returns, per configuration, its roots at ``spec.c``, or
+    None when it failed a stage.
+    """
+    c_path = [100.0]
+    while c_path[-1] * 0.8 > spec.c:
+        c_path.append(c_path[-1] * 0.8)
+    c_path.append(spec.c)
+    roots = {i: _stack(default_initial_guess(spec.replace_c(c_path[0]), qn))
+             for i, qn in enumerate(qns)}
+    for c_k in c_path:
+        alive = list(roots)
+        stage = _newton(spec.replace_c(c_k), [qns[i] for i in alive],
+                        np.array([roots[i] for i in alive]))
+        roots = {i: res for i, res in zip(alive, stage)
+                 if not isinstance(res, NonConvergence)}
+        if not roots:
+            break
+    return [roots.get(i) for i in range(len(qns))]
+
+
+def solve_many(spec: MixtureSpec, qns: Sequence[QuantumNumberConfig],
+               inits: Sequence[Optional[RootSet]]
+               ) -> list[RootSet | NonConvergence]:
+    """Solve B configurations of one spec, each exactly as :func:`solve`.
+
+    ``inits`` holds one seed per configuration (None: the strong-coupling
+    seed). The direct attempts run as one stack of :func:`_newton`; the
+    members that fail go down the coupling ladder together, one stack per
+    stage. Returns, per configuration, its RootSet or the NonConvergence
+    that :func:`solve` raises for it. Invalid configurations raise
+    InvalidConfig before any solve.
+    """
+    for qn in qns:
+        validate(spec, qn)
+    if not qns:
+        return []
+    x0 = np.array([_stack(init if init is not None
+                          else default_initial_guess(spec, qn))
+                   for qn, init in zip(qns, inits, strict=True)])
+    results = _newton(spec, qns, x0)
+    failed = [i for i, res in enumerate(results)
+              if isinstance(res, NonConvergence)]
+    if failed:
+        laddered = _ladder(spec, [qns[i] for i in failed])
+        for i, x in zip(failed, laddered):
+            if x is not None:
+                results[i] = x
+    return [res if isinstance(res, NonConvergence) else _finalize(spec, res)
+            for res in results]
+
+
 def solve(spec: MixtureSpec, qn: QuantumNumberConfig,
           init: Optional[RootSet] = None) -> RootSet:
     """Solve the equations to residual max-norm < 1e-10.
@@ -378,36 +630,28 @@ def solve(spec: MixtureSpec, qn: QuantumNumberConfig,
     Tries a direct damped-Newton run from ``init`` (or the strong-
     coupling seed); on failure, re-solves at coupling 100 (where the
     seed is nearly exact) and continues downward in c by factors of 0.8
-    to the requested value, re-using roots between stages (for
-    c >= 100 the ladder is the single stage 100 -> c). Whichever run
-    converged, an iterate with a root escaped far beyond the physical
-    scale is rejected as non-regular (see :func:`_reject_runaway`); it
-    does not start a ladder. Deterministic; families are returned
-    ascending (a no-op for configurations with ordered quantum numbers,
-    by root monotonicity).
+    to the requested value, re-using roots between stages (see
+    :func:`_ladder`); if that fails too, the direct run's error is
+    raised. Whichever run converged, an iterate with a root escaped far
+    beyond the physical scale is rejected as non-regular (see
+    :func:`_reject_runaway`); it does not start a ladder. Deterministic;
+    families are returned ascending (a no-op for configurations with
+    ordered quantum numbers, by root monotonicity). This is
+    :func:`solve_many` of one configuration.
     """
-    validate(spec, qn)
-    x0 = _stack(init if init is not None
-                else default_initial_guess(spec, qn))
+    (result,) = solve_many(spec, [qn], [init])
+    if isinstance(result, NonConvergence):
+        raise result
+    return result
+
+
+def _finalize(spec: MixtureSpec, x: np.ndarray) -> RootSet | NonConvergence:
+    """Sorted roots of a converged iterate, or the NonConvergence of
+    :func:`_reject_runaway`."""
     try:
-        x = _newton(spec, qn, x0)
-    except NonConvergence as direct_error:
-        c_path = [100.0]
-        while c_path[-1] * 0.8 > spec.c:
-            c_path.append(c_path[-1] * 0.8)
-        c_path.append(spec.c)
-        x = _stack(default_initial_guess(spec.replace_c(c_path[0]), qn))
-        try:
-            for c_k in c_path:
-                x = _newton(spec.replace_c(c_k), qn, x)
-        except NonConvergence:
-            raise direct_error from None
-    _reject_runaway(spec, x)
-    return _finalize(spec, qn, x)
-
-
-def _finalize(spec: MixtureSpec, qn: QuantumNumberConfig,
-              x: np.ndarray) -> RootSet:
+        _reject_runaway(spec, x)
+    except NonConvergence as err:
+        return err
     r = _split(spec, x)
     return RootSet(k=np.sort(r.k), lam=np.sort(r.lam), mu=np.sort(r.mu))
 

@@ -34,9 +34,8 @@ from typing import Optional
 import numpy as np
 
 from .bae import (InvalidConfig, MixtureSpec, NonConvergence, Observables,
-                  QuantumNumberConfig, RootSet, _split, _stack,
-                  auxiliary_bounds, energy_momentum, required_parities,
-                  solve)
+                  QuantumNumberConfig, RootSet, _split, auxiliary_bounds,
+                  energy_momentum, required_parities, solve, solve_many)
 
 
 def _sym_run(count: int) -> tuple[int, ...]:
@@ -325,65 +324,82 @@ def _add_fermion_sweep(spec: MixtureSpec, family: AddOneFermion
     return entries
 
 
-def dispersion(spec: MixtureSpec,
-               family) -> list[DispersionPoint]:
-    """Sweep one excitation family into (P, dE) points.
+def _sweep_rows(spec: MixtureSpec, family, qn0: QuantumNumberConfig
+                ) -> list[list[tuple[tuple, MixtureSpec,
+                                     QuantumNumberConfig]]]:
+    """The points of a sweep, (params, spec, qn) each, in rows of one spec.
 
-    ``spec`` must carry the ordering's ground-state population; energies
-    are relative to that ground state. Points are ordered by sweep index;
-    each point warm-starts from the previous convergent solution. One
-    solve per point: when the warm start fails, :func:`solve` has already
-    run its coupling ladder from the default seed. Failed points are kept
-    with status "failed" (P from the exact quantum numbers, dE = nan).
+    Within a row, ``params[1:]`` names a point's column: particle-hole
+    rows are the holes (columns the particle slots), two-fermion rows
+    the first J (columns the second); add-fermion is one row.
     """
-    _require_populations(spec, (spec.n, 0, 0), "ground state")
-    qn0 = ground_state_numbers(spec)
-    roots0 = solve(spec, qn0)
-    e0 = energy_momentum(spec, qn0, roots0).E
     n = spec.n
-
-    entries: list[tuple[tuple, MixtureSpec, QuantumNumberConfig]] = []
     if isinstance(family, GroundState):
-        entries.append(((), spec, qn0))
-    elif isinstance(family, ParticleHole):
-        for hole in range(1, n + 1):
-            for two_p in range(n + 1, 3 * n, 2):
-                qn = particle_hole_numbers(spec, hole, two_p / 2.0)
-                entries.append(((float(hole), two_p / 2.0), spec, qn))
-    elif isinstance(family, AddOneFermion):
-        entries.extend(_add_fermion_sweep(spec, family))
-    elif isinstance(family, TwoFermions):
+        return [[((), spec, qn0)]]
+    if isinstance(family, ParticleHole):
+        return [[((float(hole), two_p / 2.0), spec,
+                  particle_hole_numbers(spec, hole, two_p / 2.0))
+                 for two_p in range(n + 1, 3 * n, 2)]
+                for hole in range(1, n + 1)]
+    if isinstance(family, AddOneFermion):
+        sweep = _add_fermion_sweep(spec, family)
+        return [sweep] if sweep else []
+    if isinstance(family, TwoFermions):
         if n < 2:
             raise InvalidConfig(
                 f"two-fermions family needs N >= 2, got N = {n}")
         sub = MixtureSpec("bff", n, 2, family.mp, spec.L, spec.c)
         slots = _parity_values(-(n - 1), n - 1, required_parities(sub)[1])
-        for i, ta in enumerate(slots):
-            for tb in slots[i + 1:]:
-                qn = two_fermion_numbers(sub, ta / 2.0, tb / 2.0)
-                entries.append(((ta / 2.0, tb / 2.0), sub, qn))
-    else:
-        raise InvalidConfig(f"unknown excitation family {family!r}")
+        return [[((ta / 2.0, tb / 2.0), sub,
+                  two_fermion_numbers(sub, ta / 2.0, tb / 2.0))
+                 for tb in slots[i + 1:]]
+                for i, ta in enumerate(slots[:-1])]
+    raise InvalidConfig(f"unknown excitation family {family!r}")
+
+
+def dispersion(spec: MixtureSpec,
+               family) -> list[DispersionPoint]:
+    """Sweep one excitation family into (P, dE) points.
+
+    ``spec`` must carry the ordering's ground-state population; energies
+    are relative to that ground state. Points are ordered by sweep index.
+    The sweep is solved row by row (see :func:`_sweep_rows`), one
+    :func:`bfmix.bae.solve_many` stack per row: the first row starts
+    from the ground-state roots when it shares the ground spec, else
+    from the default seed; each later point starts from the converged
+    roots of its column in the row above, or from the default seed where
+    that point is missing or failed. A member whose start fails has run
+    its coupling ladder once inside ``solve_many``. Failed points are
+    kept with status "failed" (P from the exact quantum numbers,
+    dE = nan).
+    """
+    _require_populations(spec, (spec.n, 0, 0), "ground state")
+    qn0 = ground_state_numbers(spec)
+    roots0 = solve(spec, qn0)
+    e0 = energy_momentum(spec, qn0, roots0).E
 
     points = []
-    prev: Optional[np.ndarray] = None
-    for params, sub, qn in entries:
-        init = None
-        if prev is not None and prev.size == sub.n + sub.m + sub.mp:
-            init = _split(sub, prev)
-        try:
-            roots = solve(sub, qn, init=init)
-        except NonConvergence:
-            zeros = _split(sub, np.zeros(sub.n + sub.m + sub.mp))
-            obs_p = energy_momentum(sub, qn, zeros).P
-            points.append(DispersionPoint(p=obs_p, de=float("nan"),
-                                          status="failed", params=params))
-            prev = None
-            continue
-        obs = energy_momentum(sub, qn, roots)
-        points.append(DispersionPoint(p=obs.P, de=obs.E - e0,
-                                      status="ok", params=params))
-        prev = _stack(roots)
+    above: dict[tuple, RootSet] = {}
+    for i, row in enumerate(_sweep_rows(spec, family, qn0)):
+        sub = row[0][1]
+        if i == 0:
+            inits = [roots0 if sub == spec else None] * len(row)
+        else:
+            inits = [above.get(params[1:]) for params, _, _ in row]
+        solved = solve_many(sub, [qn for _, _, qn in row], inits)
+        above = {}
+        for (params, _, qn), roots in zip(row, solved):
+            if isinstance(roots, NonConvergence):
+                zeros = _split(sub, np.zeros(sub.n + sub.m + sub.mp))
+                obs_p = energy_momentum(sub, qn, zeros).P
+                points.append(DispersionPoint(p=obs_p, de=float("nan"),
+                                              status="failed",
+                                              params=params))
+                continue
+            obs = energy_momentum(sub, qn, roots)
+            points.append(DispersionPoint(p=obs.P, de=obs.E - e0,
+                                          status="ok", params=params))
+            above[params[1:]] = roots
     return points
 
 

@@ -8,6 +8,7 @@ solver itself, marked regression) and are pinned at 1e-9.
 """
 import math
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from bfmix.bae import (_COUPLINGS, InvalidConfig, MixtureSpec,
                        default_initial_guess, energy_momentum, jacobian,
                        required_parities, residual, solve, theta,
                        theta_prime, validate)
-from bfmix.excitations import ground_state_numbers
+from bfmix.excitations import (_offset_runs, _parity_values,
+                                ground_state_numbers)
 
 ALL_CASES = ("bff", "fbf", "ffb")
 
@@ -461,11 +463,11 @@ def _count_newton(monkeypatch, fail_first=False):
     couplings = []
     newton = bae._newton
 
-    def counted(spec, qn, x0):
+    def counted(spec, qns, x0):
         couplings.append(spec.c)
         if fail_first and len(couplings) == 1:
-            raise NonConvergence("forced direct failure", 1.0)
-        return newton(spec, qn, x0)
+            return [NonConvergence("forced direct failure", 1.0)] * len(qns)
+        return newton(spec, qns, x0)
 
     monkeypatch.setattr(bae, "_newton", counted)
     return couplings
@@ -497,6 +499,78 @@ def test_ladder_runs_downward_from_100(monkeypatch, c, ladder):
     assert np.abs(residual(spec, qn, roots)).max() < 1e-10
     assert couplings[0] == c
     assert couplings[1:] == pytest.approx(ladder, rel=1e-15)
+
+
+def _mixed_stack(spec):
+    """Every combination of near-symmetric runs (a single member sweeps
+    |2I| <= 2N): a stack of configurations of which most fail."""
+    def runs(count, parity):
+        if count == 1:
+            return [(v,) for v in _parity_values(-2 * spec.n, 2 * spec.n,
+                                                 parity)]
+        return _offset_runs(count, parity)
+
+    combos = product(*(runs(count, parity) for count, parity in
+                       zip((spec.n, spec.m, spec.mp),
+                           required_parities(spec))))
+    return [QuantumNumberConfig(*combo) for combo in combos]
+
+
+def _assert_same_results(stacked, single):
+    """Equal roots bit for bit, or the same error class and message."""
+    assert len(stacked) == len(single)
+    for a, b in zip(stacked, single):
+        assert type(a) is type(b)
+        if isinstance(b, NonConvergence):
+            assert str(a) == str(b)
+        elif isinstance(b, RootSet):
+            for family in ("k", "lam", "mu"):
+                assert np.array_equal(getattr(a, family), getattr(b, family))
+        else:
+            assert np.array_equal(a, b)
+
+
+def _kind(result):
+    if not isinstance(result, NonConvergence):
+        return "converged"
+    return str(result).split(" (")[0].split(" to ")[0]
+
+
+def test_stacked_newton_matches_one_member_runs(monkeypatch):
+    # each member of a stack runs the arithmetic of a run of its own, in
+    # chunks shorter than the stack; the stack mixes every outcome
+    spec = MixtureSpec("ffb", 2, 2, 1, 2.0, 1.0)
+    qns = _mixed_stack(spec)
+    x0 = np.array([bae._stack(default_initial_guess(spec, qn))
+                   for qn in qns])
+    monkeypatch.setattr(bae, "_STACK_DOUBLES", 5 * x0.shape[1] ** 2)
+    stacked = bae._newton(spec, qns, x0)
+    single = [bae._newton(spec, [qn], x[None])[0] for qn, x in zip(qns, x0)]
+    _assert_same_results(stacked, single)
+    assert {_kind(res) for res in stacked} == {
+        "converged", "line search stalled", "singular Jacobian",
+        "Newton budget exhausted"}
+
+
+@pytest.mark.parametrize("case, n, m, mp, c", [
+    ("ffb", 3, 2, 1, 1.0),   # runaway and stalled members beside converged
+    ("bff", 4, 3, 1, 0.1),   # members the coupling ladder rescues
+])
+def test_solve_many_matches_solve_per_member(monkeypatch, case, n, m, mp,
+                                             c):
+    spec = MixtureSpec(case, n, m, mp, float(n), c)
+    qns = _mixed_stack(spec)
+    monkeypatch.setattr(bae, "_STACK_DOUBLES", 7 * (n + m + mp) ** 2)
+    single = []
+    for qn in qns:
+        try:
+            single.append(solve(spec, qn))
+        except NonConvergence as err:
+            single.append(err)
+    stacked = bae.solve_many(spec, qns, [None] * len(qns))
+    _assert_same_results(stacked, single)
+    kinds = {_kind(res) for res in stacked}
+    assert {"converged", "root escaped", "line search stalled"} <= kinds
 
 
 def test_non_regular_configuration_rejected():

@@ -119,6 +119,19 @@ def test_ground_without_out_prints_to_stdout(capsys):
     assert "E = " in captured.err and "P = " in captured.err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ground_at_underflowing_coupling_emits_no_warning(tmp_path):
+    # the strong-coupling seed spaces the roots by about c, so at
+    # c = 1e-170 both (k_i - k_j)**2 and c**2 underflow to 0 in
+    # theta_prime; the direct run fails without a warning and the
+    # coupling ladder converges
+    out = tmp_path / "ground.csv"
+    rc = main(["ground", "--case", "bff", "--n", "3", "--m", "0", "--mp",
+               "0", "--l", "3", "--c", "1e-170", "--out", str(out)])
+    assert rc == EXIT_OK
+    assert out.read_text().startswith("kind,index,value")
+
+
 def test_ybe_check_passes_at_default_tolerance(tmp_path):
     out = tmp_path / "ybe.csv"
     rc = main(["ybe-check", "--cases", "bff", "--c", "1", "--num", "5",

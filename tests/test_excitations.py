@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bfmix import excitations
+from bfmix import bae, excitations
 from bfmix.bae import (InvalidConfig, MixtureSpec, NonConvergence,
-                       QuantumNumberConfig, auxiliary_bounds,
+                       QuantumNumberConfig, RootSet, auxiliary_bounds,
                        energy_momentum, required_parities, residual, solve)
 from bfmix.excitations import (AddOneFermion, GroundState, ParticleHole,
                                TwoFermions, _mirror, _offset_runs,
@@ -365,24 +365,118 @@ def test_two_fermion_dispersion():
         sorted(p.de for p in pts)[:len(pts1)], rel=1e-6)
 
 
-def test_dispersion_solves_each_point_once(monkeypatch):
-    # a failed warm start is final: solve() has already run its ladder
-    # from the default seed, so a cold retry would repeat that work
-    calls = []
+def test_dispersion_solves_rows_as_stacks(monkeypatch):
+    # one solve_many stack per row; a member whose direct run fails goes
+    # down the coupling ladder exactly once, and when that fails too its
+    # column in the next row starts from the default seed
+    spec = _gs_spec("bff", 3, 3.0, 1.0)
+    doomed = particle_hole_numbers(spec, 1, 3.0)  # row 0, column (3.0,)
+    runs = []  # (coupling, configurations) of every Newton run
+    stacks = []  # (configurations, seeds) of every solve_many call
+    newton, solve_many = bae._newton, excitations.solve_many
 
-    def warm_start_fails(spec, qn, init=None):
-        calls.append(qn)
-        if init is not None:
-            raise NonConvergence("forced warm-start failure", 1.0)
-        return solve(spec, qn)
+    def failing(sub, qns, x0):
+        runs.append((sub.c, list(qns)))
+        return [NonConvergence("forced failure", 1.0) if qn == doomed
+                else res for qn, res in zip(qns, newton(sub, qns, x0))]
 
-    monkeypatch.setattr(excitations, "solve", warm_start_fails)
-    pts = dispersion(_gs_spec("bff", 3, 3.0, 1.0), ParticleHole())
-    assert len(pts) == 9
-    # a point after a success is warm-started and fails; the next is cold
-    assert [p.status for p in pts] == ["ok", "failed"] * 4 + ["ok"]
-    assert all(np.isnan(p.de) for p in pts if p.status == "failed")
-    assert len(calls) == 1 + len(pts)  # the ground state, then each point
+    def recorded(sub, qns, inits):
+        stacks.append((list(qns), list(inits)))
+        return solve_many(sub, qns, inits)
+
+    monkeypatch.setattr(bae, "_newton", failing)
+    monkeypatch.setattr(excitations, "solve_many", recorded)
+    pts = dispersion(spec, ParticleHole())
+    assert len(pts) == 9 and len(stacks) == 3  # one stack per hole
+    assert [p.status for p in pts] == ["ok", "failed"] + ["ok"] * 7
+    assert np.isnan(pts[1].de)
+    # the direct run, then the ladder's first stage, alone in its stack
+    assert [c for c, qns in runs if doomed in qns] == [1.0, 100.0]
+    assert [qns for c, qns in runs if c == 100.0] == [[doomed]]
+    # row 0 starts from the ground-state roots; in row 1 the failed
+    # column starts from the default seed, the others from row 0's roots
+    seeds0, seeds1 = stacks[0][1], stacks[1][1]
+    assert seeds0[0] is not None and all(s is seeds0[0] for s in seeds0)
+    assert [s is None for s in seeds1] == [False, True, False]
+    assert all(s is None or s.k.size == spec.n for s in seeds1)
+
+
+def _chained_dispersion(spec, family):
+    """Reference: the per-point warm-start chain that solved sweeps before
+    rows were stacked. Every point starts from the previous point's
+    converged roots, or from the default seed after a failure or a change
+    of population; one solve per point."""
+    qn0 = ground_state_numbers(spec)
+    e0 = energy_momentum(spec, qn0, solve(spec, qn0)).E
+    n = spec.n
+    entries = []
+    if isinstance(family, GroundState):
+        entries.append(((), spec, qn0))
+    elif isinstance(family, ParticleHole):
+        for hole in range(1, n + 1):
+            for two_p in range(n + 1, 3 * n, 2):
+                qn = particle_hole_numbers(spec, hole, two_p / 2.0)
+                entries.append(((float(hole), two_p / 2.0), spec, qn))
+    elif isinstance(family, AddOneFermion):
+        entries.extend(excitations._add_fermion_sweep(spec, family))
+    else:
+        if n < 2:
+            raise InvalidConfig("two-fermions family needs N >= 2")
+        sub = MixtureSpec("bff", n, 2, family.mp, spec.L, spec.c)
+        slots = _parity_values(-(n - 1), n - 1, required_parities(sub)[1])
+        for i, ta in enumerate(slots):
+            for tb in slots[i + 1:]:
+                qn = two_fermion_numbers(sub, ta / 2.0, tb / 2.0)
+                entries.append(((ta / 2.0, tb / 2.0), sub, qn))
+    points, prev = [], None
+    for params, sub, qn in entries:
+        init = None
+        if prev is not None and prev.size == sub.n + sub.m + sub.mp:
+            init = RootSet(prev[:sub.n], prev[sub.n:sub.n + sub.m],
+                           prev[sub.n + sub.m:])
+        try:
+            roots = solve(sub, qn, init=init)
+        except NonConvergence:
+            zeros = np.zeros(sub.n + sub.m + sub.mp)
+            p = energy_momentum(sub, qn, RootSet(zeros[:sub.n],
+                                                 zeros[:sub.m],
+                                                 zeros[:sub.mp])).P
+            points.append((params, p, float("nan"), "failed"))
+            prev = None
+            continue
+        obs = energy_momentum(sub, qn, roots)
+        points.append((params, obs.P, obs.E - e0, "ok"))
+        prev = np.concatenate([roots.k, roots.lam, roots.mu])
+    return points
+
+
+_FAMILIES = (GroundState(), ParticleHole(), AddOneFermion(),
+             AddOneFermion(all_variants=True), TwoFermions(mp=0),
+             TwoFermions(mp=1))
+
+
+@pytest.mark.parametrize("case", ALL_CASES)
+@pytest.mark.parametrize("c", [0.3, 1.0, 10.0])
+def test_row_stacked_dispersion_matches_point_chain(case, c):
+    # seeding a point from the row above instead of from its left
+    # neighbour changes the path to the root, not the root: equal P and
+    # status, dE within rel 1e-9
+    for n, family in product(range(1, 9), _FAMILIES):
+        spec = _gs_spec(case, n, float(n), c)
+        try:
+            want = _chained_dispersion(spec, family)
+        except InvalidConfig:
+            with pytest.raises(InvalidConfig):
+                dispersion(spec, family)
+            continue
+        got = dispersion(spec, family)
+        assert [(p.params, p.p, p.status) for p in got] == \
+            [(params, p, status) for params, p, _, status in want]
+        for pt, (_, _, de, status) in zip(got, want):
+            if status == "ok":
+                assert pt.de == pytest.approx(de, rel=1e-9, abs=1e-12)
+            else:
+                assert np.isnan(pt.de)
 
 
 def test_dispersion_rejects_unknown_family():
