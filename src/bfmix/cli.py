@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import re
 import sys
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -51,14 +52,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _cells(row: Sequence) -> list:
+    return [_fmt(v) if isinstance(v, (float, np.floating)) else v
+            for v in row]
+
+
 def _write_rows(out: Optional[str], header: Sequence[str],
-                rows: Iterable[Sequence], manifest: dict) -> None:
-    """Write CSV (file or stdout) and, for files, the sibling manifest."""
+                rows: list[Sequence], manifest: dict) -> None:
+    """Write CSV (file or stdout) and, for files, the sibling manifest.
+
+    Float cells are written by :func:`_fmt` (17 significant digits);
+    every other cell goes to ``csv.writer`` as it is, which writes
+    ``str()`` of it, the same text ``_fmt`` gives. A cell must not be
+    None (csv would write an empty field). ``rows`` is a list: its
+    length is the number of rows written.
+    """
     def emit(stream):
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(map(_cells, rows))
 
     if out is None:
         emit(sys.stdout)
@@ -249,10 +261,17 @@ def _cmd_thermo(args) -> int:
 def _cmd_phase(args) -> int:
     ratios = _parse_range(args.ratio)
     hs = _parse_range(args.h)
+    points = len(ratios) * len(hs)
+    if points > _MAX_RANGE_POINTS:  # every row is held in memory
+        raise InvalidConfig(
+            f"--ratio x --h = {len(ratios)} x {len(hs)} = {points} grid "
+            f"points, more than {_MAX_RANGE_POINTS}")
     result = phases.phase_scan(args.regime, ratios, hs, c=args.c, n=args.n,
                                L=args.l, mu_b=args.mu_b)
-    rows = [(r.ratio, r.h, r.n_b, r.n_up, r.n_down, r.label)
-            for r in result.rows]
+    # each axis value is formatted once; the rows are ratio-major, h-minor
+    axes = itertools.product([_fmt(r) for r in ratios], [_fmt(h) for h in hs])
+    rows = [(ratio, h, r.n_b, r.n_up, r.n_down, r.label)
+            for (ratio, h), r in zip(axes, result.rows)]
     manifest = _manifest("phase", regime=args.regime, n=args.n, L=args.l,
                          c=args.c, mu_b=args.mu_b, ratio=args.ratio,
                          h=args.h,

@@ -36,7 +36,9 @@ F (equal spin populations, no bosons), F1F2 (unequal, no bosons).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,8 +77,7 @@ class PhasePoint:
     excluded_sectors: tuple[tuple[int, int], ...] = ()
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     ratio: float
     h: float
     n_b: int
@@ -275,7 +276,10 @@ def phase_scan(regime: str, ratio_values, h_values, *, c: float = 1.0,
     Sector energies do not depend on the fields, so they are computed
     once and each ratio row reduces to one vectorized minimization over
     its h values, with the exact-tie preference for more bosons, then
-    more spin-up.
+    more spin-up. Each grid point then costs one cache lookup and one
+    tuple: a winning composition is labelled by :func:`classify` the
+    first time it wins, and only the winners are labelled (there are
+    far fewer of them than candidates at large n).
     """
     if not (np.isfinite(mu_b) and mu_b > 0):
         raise InvalidConfig(
@@ -283,10 +287,11 @@ def phase_scan(regime: str, ratio_values, h_values, *, c: float = 1.0,
             f"got {mu_b}")
     pop_arr, e_arr, excluded = _regime_table(regime, n, L, c)
     hs = [float(h) for h in h_values]
+    label = functools.cache(classify)
     rows = []
     for ratio in ratio_values:
         best = _minimize(pop_arr, e_arr, mu_b, ratio * mu_b, hs)
-        rows.extend(ScanRow(ratio=float(ratio), h=h, n_b=n_b, n_up=up,
-                            n_down=dn, label=classify((n_b, up, dn)))
+        ratio = float(ratio)
+        rows.extend(ScanRow(ratio, h, n_b, up, dn, label((n_b, up, dn)))
                     for h, (n_b, up, dn) in zip(hs, best.tolist()))
     return PhaseScanResult(rows=rows, excluded_sectors=excluded)

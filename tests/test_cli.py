@@ -8,7 +8,9 @@ installed console script end to end, and one runs the target that
 
 from __future__ import annotations
 
+import csv
 import importlib
+import io
 import json
 import os
 import shutil
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bfmix import algebra, bae, thermo
+from bfmix import algebra, bae, cli, phases, thermo
 from bfmix.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -221,6 +223,87 @@ def test_thermo_writes_profile_and_dressed_energies(tmp_path):
 
 
 # ----------------------------------------------------------------------------
+# CSV bytes
+# ----------------------------------------------------------------------------
+
+
+def _per_cell_fmt(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    return str(value)
+
+
+def _per_cell_csv(header, rows) -> bytes:
+    """The reference writer: every cell through ``_per_cell_fmt``."""
+    stream = io.StringIO(newline="")
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_per_cell_fmt(v) for v in row])
+    return stream.getvalue().encode()
+
+
+def test_write_rows_matches_per_cell_writer_on_mixed_cells(tmp_path):
+    cells = ["bff", "a,b", 'say "x"', 0, -7, 2 ** 70, np.int64(-3),
+             0.1, -2.5, np.float64(1 / 3), np.float32(0.1), np.float32(-0.0),
+             float("nan"), float("inf"), float("-inf"), np.float64("nan"),
+             0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1e-300]
+    rows = [tuple(cells), tuple(reversed(cells)), cells[::3], cells[1::2]]
+    header = ("a", "b")
+    out = tmp_path / "mixed.csv"
+    cli._write_rows(str(out), header, rows, {})
+    assert out.read_bytes() == _per_cell_csv(header, rows)
+
+
+_WRITTEN_RUNS = {
+    "ground": ["ground", "--case", "ffb", "--n", "6", "--m", "2", "--mp",
+               "1", "--l", "6", "--c", "1"],
+    "excite": ["excite", "--case", "bff", "--n", "4", "--l", "4", "--c",
+               "1", "--family", "all"],
+    "density": ["density", "--case", "bff", "--n", "5", "--l", "5",
+                "--c", "10,1"],
+    "thermo": ["thermo", "--density", "1", "--c", "2", "--xi-points", "3"],
+    "ybe-check": ["ybe-check", "--num", "5"],
+    **{f"phase-{regime}": ["phase", "--regime", regime, "--n", "4", "--l",
+                           "4", "--c", "1", "--ratio", "0:2:0.25",
+                           "--h=-1.5:1.5:0.3"]
+       for regime in ("weak", "strong", "general")},
+}
+
+
+@pytest.mark.parametrize("name", list(_WRITTEN_RUNS))
+def test_written_csv_matches_per_cell_writer(name, tmp_path, monkeypatch):
+    captured = []
+    write_rows = cli._write_rows
+
+    def capture(out, header, rows, manifest):
+        captured.append((header, rows))
+        return write_rows(out, header, rows, manifest)
+
+    monkeypatch.setattr(cli, "_write_rows", capture)
+    out = tmp_path / "out.csv"
+    assert main(_WRITTEN_RUNS[name] + ["--out", str(out)]) == EXIT_OK
+    [(header, rows)] = captured
+    assert type(rows) is list  # its length is the traced row count
+    assert len(rows) > 1
+    assert out.read_bytes() == _per_cell_csv(header, rows)
+
+
+def test_phase_writes_signed_zero_axis_values(tmp_path):
+    out = tmp_path / "zeros.csv"
+    assert main(["phase", "--regime", "general", "--n", "4", "--l", "4",
+                 "--c", "1", "--ratio=-0,0,1", "--h=-0,0,1e-300,-2",
+                 "--out", str(out)]) == EXIT_OK
+    header, lines = _read_csv(out)
+    axes = [tuple(line.split(",")[:2]) for line in lines]
+    assert axes == [(r, h) for r in ("-0", "0", "1")
+                    for h in ("-0", "0", "1e-300", "-2")]
+    scan = phases.phase_scan("general", [-0.0, 0.0, 1.0],
+                             [-0.0, 0.0, 1e-300, -2.0], c=1.0, n=4, L=4.0)
+    assert out.read_bytes() == _per_cell_csv(header.split(","), scan.rows)
+
+
+# ----------------------------------------------------------------------------
 # manifest and reproducibility
 # ----------------------------------------------------------------------------
 
@@ -299,6 +382,13 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
         for bad_points in ("-1", str(10 ** 6 + 1)):
             assert main(["thermo", "--density", "1", "--c", "1",
                          "--xi-points", bad_points]) == EXIT_USAGE
+    with monkeypatch.context() as m:  # rejected before the table is built
+        m.setattr(phases, "sector_energy_table",
+                  lambda *a: pytest.fail("solved before validating"))
+        assert main(["phase", "--regime", "general", "--n", "4", "--l", "4",
+                     "--ratio", "0:1000:1", "--h", "0:1000:1"]) == EXIT_USAGE
+        assert "1001 x 1001 = 1002001 grid points, more than 1000000" \
+            in capsys.readouterr().err
     # fields so large that the grand energy overflows cannot be compared
     assert main(["phase", "--regime", "weak", "--n", "6", "--l", "6",
                  "--ratio", "1e308", "--h", "1e308,-1e308"]) == EXIT_USAGE

@@ -556,6 +556,31 @@ def test_phase_scan_general_is_deterministic():
     assert labels == ["B", "BF2", "S", "BF2"]
 
 
+def test_phase_scan_labels_each_winner_once(monkeypatch):
+    calls = []
+
+    def counted(populations):
+        calls.append(populations)
+        return classify(populations)
+
+    monkeypatch.setattr(phases, "classify", counted)
+    ratios = [0.03 * i for i in range(101)]
+    hs = [-3.0 + 0.06 * i for i in range(101)]
+    scan = phase_scan("weak", ratios, hs, n=N42, L=L42)
+    assert len(scan.rows) == 101 * 101
+    winners = {(row.n_b, row.n_up, row.n_down) for row in scan.rows}
+    assert len(calls) == len(set(calls)) == len(winners) > 10
+    assert set(calls) == winners
+    for row in scan.rows:
+        assert row.label == classify((row.n_b, row.n_up, row.n_down))
+    row = scan.rows[0]
+    assert isinstance(row, ScanRow)
+    assert row == ScanRow(row.ratio, row.h, row.n_b, row.n_up, row.n_down,
+                          row.label)
+    with pytest.raises(AttributeError):
+        row.label = "F"
+
+
 def test_phase_scan_rejects_unknown_regime():
     with pytest.raises(ValueError):
         phase_scan("tepid", [0.5], [0.0], n=6, L=6.0)
