@@ -16,8 +16,9 @@ where the half-integer parameters (a..h) of each sum depend on the
 ordering (see ``_COUPLINGS``; absent terms have parameter None). The
 self-referential summands (l = j etc.) are Theta(0) = 0 identically and
 contribute nothing to residuals or derivatives. Residual and Jacobian
-read one table of these parameters over the stacked roots
-x = (k, lambda, mu) (see ``_coupling_table``).
+take a = parameter * c of each pair of the stacked roots
+x = (k, lambda, mu), with a*a and -2a, from one per-spec cache (see
+``_constants``); the constant terms 2 pi I etc. come from ``_rhs``.
 
 Quantum numbers I, J, J' are integers or half-odd integers; they are
 stored *doubled* (2I etc.) as exact ints. Every per-ordering rule (the
@@ -176,12 +177,6 @@ def _theta_prime_into(out: np.ndarray, aa, neg2a, where) -> np.ndarray:
     return np.divide(neg2a, out, out=out, where=where)
 
 
-def _broadcast_copy(x, a) -> np.ndarray:
-    out = np.empty(np.broadcast(x, a).shape)
-    out[...] = x
-    return out
-
-
 def theta(n_par: float, x, c: float):
     """Scattering phase Theta_n(x) = -2*arctan(x/(n*c)); odd in x.
 
@@ -191,17 +186,17 @@ def theta(n_par: float, x, c: float):
     """
     a = n_par * c
     with np.errstate(over="ignore", invalid="ignore"):
-        return _theta_into(_broadcast_copy(x, a), a, True)[()]
+        return -2.0 * np.arctan(np.asarray(x, dtype=float) / a)
 
 
 def theta_prime(n_par: float, x, c: float):
     """d/dx Theta_n(x) = -2*n*c / ((n*c)**2 + x**2)."""
     a = n_par * c
+    x = np.asarray(x, dtype=float)
     # x*x may overflow to inf on diverging iterates; the limit 0 is the
     # correct derivative there, so the overflow warning is suppressed.
     with np.errstate(over="ignore"):
-        return _theta_prime_into(_broadcast_copy(x, a), a * a, -2.0 * a,
-                                 True)[()]
+        return (-2.0 * a) / (a * a + x * x)
 
 
 def _level_sums(spec: MixtureSpec) -> tuple[int, int, int]:
@@ -285,37 +280,23 @@ def _coupling_table(case: str, n: int, m: int,
     return par, present
 
 
-@dataclass(frozen=True)
-class _Equations:
-    """The equations of a stack of configurations of one spec.
+@functools.lru_cache(maxsize=8)
+def _constants(spec: MixtureSpec) -> tuple[np.ndarray, ...]:
+    """Read-only (present, a, a*a, -2a) of a spec: the mask of
+    :func:`_coupling_table` and the constants of theta and theta_prime at
+    a = par*c, shared by every stack of the spec."""
+    par, present = _coupling_table(spec.case, spec.n, spec.m, spec.mp)
+    a = par * spec.c
+    consts = (a, a * a, -2.0 * a)
+    for arr in consts:
+        arr.setflags(write=False)
+    return (present,) + consts
 
-    Everything but the roots, built once per Newton run: the mask
-    ``present`` of :func:`_coupling_table`, a = par*c with a*a and -2a
-    (the constants of theta and theta_prime), and one row of constant
-    terms pi*(-2I, 2J, 2J') per member in ``rhs``.
-    """
 
-    present: np.ndarray
-    a: np.ndarray
-    aa: np.ndarray
-    neg2a: np.ndarray
-    rhs: np.ndarray
-
-    @classmethod
-    def build(cls, spec: MixtureSpec,
-              qns: Sequence[QuantumNumberConfig]) -> "_Equations":
-        par, present = _coupling_table(spec.case, spec.n, spec.m, spec.mp)
-        a = par * spec.c
-        rhs = np.pi * np.array([[-v for v in qn.two_i] + list(qn.two_j)
-                                + list(qn.two_jp) for qn in qns],
-                               dtype=float)
-        return cls(present, a, a * a, -2.0 * a, rhs)
-
-    def take(self, rows) -> "_Equations":
-        """The equations of the members ``rows`` (a mask, indices or a
-        slice)."""
-        return _Equations(self.present, self.a, self.aa, self.neg2a,
-                          self.rhs[rows])
+def _rhs(qns: Sequence[QuantumNumberConfig]) -> np.ndarray:
+    """The constant terms pi*(-2I, 2J, 2J') of each configuration, (B, D)."""
+    return np.pi * np.array([[-v for v in qn.two_i] + list(qn.two_j)
+                             + list(qn.two_jp) for qn in qns], dtype=float)
 
 
 def _pair_diffs(present: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -328,42 +309,41 @@ def _pair_diffs(present: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.subtract(x[:, :, None], x[:, None, :], out=out, where=present)
 
 
-def _residual(spec: MixtureSpec, eqs: _Equations,
+def _residual(spec: MixtureSpec, rhs: np.ndarray,
               x: np.ndarray) -> np.ndarray:
-    terms = _theta_into(_pair_diffs(eqs.present, x), eqs.a, eqs.present)
-    r = eqs.rhs.copy()
+    present, a, _, _ = _constants(spec)
+    terms = _theta_into(_pair_diffs(present, x), a, present)
+    r = rhs.copy()
     r[:, :spec.n] += x[:, :spec.n] * spec.L
     return r - terms.sum(axis=-1)
 
 
-def _jacobian(spec: MixtureSpec, eqs: _Equations,
-              x: np.ndarray) -> np.ndarray:
-    jac = _theta_prime_into(_pair_diffs(eqs.present, x), eqs.aa, eqs.neg2a,
-                            eqs.present)
+def _jacobian(spec: MixtureSpec, x: np.ndarray) -> np.ndarray:
+    present, _, aa, neg2a = _constants(spec)
+    jac = _theta_prime_into(_pair_diffs(present, x), aa, neg2a, present)
     diag = -jac.sum(axis=-1)
     diag[:, :spec.n] += spec.L
     jac.reshape(len(x), -1)[:, ::x.shape[-1] + 1] = diag
     return jac
 
 
-def residual(spec: MixtureSpec, qn: QuantumNumberConfig | _Equations,
+def residual(spec: MixtureSpec, qn: QuantumNumberConfig | np.ndarray,
              roots: RootSet | np.ndarray) -> np.ndarray:
     """Residuals (F, G, H) of the logarithmic equations, over x.
 
     One configuration (``qn`` a QuantumNumberConfig, ``roots`` a RootSet)
     gives shape (D,), D = N + M + M'. :func:`_newton` passes a stack
-    instead, ``qn`` the :class:`_Equations` of A members and ``roots``
-    their (A, D) root vectors, and gets (A, D); it holds the float-error
-    state for its whole run.
+    instead, ``qn`` the (A, D) constant terms of A members (see
+    :func:`_rhs`) and ``roots`` their (A, D) root vectors, and gets
+    (A, D); it holds the float-error state for its whole run.
     """
-    if isinstance(qn, QuantumNumberConfig):
-        with np.errstate(**_QUIET):
-            return _residual(spec, _Equations.build(spec, [qn]),
-                             _stack(roots)[None])[0]
-    return _residual(spec, qn, roots)
+    if not isinstance(roots, RootSet):
+        return _residual(spec, qn, roots)
+    with np.errstate(**_QUIET):
+        return _residual(spec, _rhs([qn]), _stack(roots)[None])[0]
 
 
-def jacobian(spec: MixtureSpec, qn: QuantumNumberConfig | _Equations,
+def jacobian(spec: MixtureSpec, qn: QuantumNumberConfig | np.ndarray,
              roots: RootSet | np.ndarray) -> np.ndarray:
     """Analytic Jacobian of :func:`residual` w.r.t. (k, lambda, mu).
 
@@ -371,14 +351,14 @@ def jacobian(spec: MixtureSpec, qn: QuantumNumberConfig | _Equations,
     each diagonal entry carries the box term (k rows only) minus the sum
     of its row's theta_prime couplings. Self-pair terms vanish exactly
     (the l = j summand is the constant Theta(0)), so an isolated free
-    particle has Jacobian [L]. Shape (D, D) for one configuration,
-    (A, D, D) for a stack, as in :func:`residual`.
+    particle has Jacobian [L]. The quantum numbers enter only the
+    constant terms, so ``qn`` is ignored. Shape (D, D) for one
+    configuration, (A, D, D) for a stack, as in :func:`residual`.
     """
-    if isinstance(qn, QuantumNumberConfig):
-        with np.errstate(**_QUIET):
-            return _jacobian(spec, _Equations.build(spec, [qn]),
-                             _stack(roots)[None])[0]
-    return _jacobian(spec, qn, roots)
+    if not isinstance(roots, RootSet):
+        return _jacobian(spec, roots)
+    with np.errstate(**_QUIET):
+        return _jacobian(spec, _stack(roots)[None])[0]
 
 
 def default_initial_guess(spec: MixtureSpec,
@@ -450,119 +430,89 @@ def _newton(spec: MixtureSpec, qns: Sequence[QuantumNumberConfig],
     residual, so its arithmetic is that of a run of its own. The float
     errors of ``_QUIET`` are harmless and suppressed once for the run.
     """
-    eqs = _Equations.build(spec, qns)
+    rhs = _rhs(qns)
     chunk = max(1, _STACK_DOUBLES // x0.shape[1] ** 2)
     results = []
     with np.errstate(**_QUIET):
         for lo in range(0, len(qns), chunk):
-            rows = slice(lo, lo + chunk)
-            results += _lockstep(spec, eqs.take(rows), x0[rows])
+            results += _lockstep(spec, rhs[lo:lo + chunk], x0[lo:lo + chunk])
     return results
 
 
-def _lockstep(spec: MixtureSpec, eqs: _Equations,
+def _lockstep(spec: MixtureSpec, rhs: np.ndarray,
               x0: np.ndarray) -> list[np.ndarray | NonConvergence]:
-    """The Newton iteration of :func:`_newton` on one chunk of members."""
+    """The Newton iteration of :func:`_newton` on one chunk of members.
+
+    The active members are the rows of one table: their ids, constant
+    terms, iterates, residuals and best residual max-norms.
+    """
     results: list[np.ndarray | NonConvergence] = [None] * len(x0)
-    ids = np.arange(len(x0))  # the member of each active row
+    ids = np.arange(len(x0))
     x = x0.copy()
-    r = residual(spec, eqs, x)
+    r = residual(spec, rhs, x)
     rmax = np.abs(r).max(axis=1)
     best = rmax.copy()
 
     def leave(mask, message=None):
         """Record the members in ``mask`` as converged (no message) or
-        failed; return the mask of the members that stay."""
+        failed, and drop their rows from the table."""
+        nonlocal ids, rhs, x, r, best
+        if not mask.any():
+            return
         for i, xi, b in zip(ids[mask], x[mask], best[mask]):
             results[i] = (xi if message is None
                           else NonConvergence(message, float(b)))
-        return ~mask
+        keep = ~mask
+        ids, rhs, x, r, best = (ids[keep], rhs[keep], x[keep], r[keep],
+                                best[keep])
 
     for _ in range(_MAX_STEPS):
-        done = rmax < _TOL
-        if done.any():
-            keep = leave(done)
-            ids, x, r, best = ids[keep], x[keep], r[keep], best[keep]
-            eqs = eqs.take(keep)
-            if not ids.size:
-                return results
-        step, singular = _steps(jacobian(spec, eqs, x), r)
+        leave(rmax < _TOL)
+        if not ids.size:
+            return results
+        step, singular = _steps(jacobian(spec, rhs, x), r)
         if singular is not None:
-            keep = leave(singular, "singular Jacobian")
-            ids, x, r, best = ids[keep], x[keep], r[keep], best[keep]
-            eqs, step = eqs.take(keep), step[keep]
+            leave(singular, "singular Jacobian")
+            step = step[~singular]
             if not ids.size:
                 return results
         norm0 = _norms(r)
-        x_new = x + step
-        r_new = residual(spec, eqs, x_new)
-        pending = np.flatnonzero(~(_norms(r_new) < norm0))
-        if pending.size:
-            stalled = _backtrack(spec, eqs, x, step, norm0, pending,
-                                 x_new, r_new)
-            if stalled.any():
-                keep = leave(stalled, "line search stalled")
-                ids, best, eqs = ids[keep], best[keep], eqs.take(keep)
-                x_new, r_new = x_new[keep], r_new[keep]
-                if not ids.size:
-                    return results
-        x, r = x_new, r_new
+        x_old, x = x, x + step
+        r = residual(spec, rhs, x)
+        leave(_backtrack(spec, rhs, x_old, step, norm0, x, r),
+              "line search stalled")
         rmax = np.abs(r).max(axis=1)
         # min(best, rmax) member by member: a NaN residual keeps best
         best = np.where(rmax < best, rmax, best)
-    done = rmax < _TOL
-    leave(done)
-    leave(~done, "Newton budget exhausted")
+    leave(rmax < _TOL)
+    leave(np.ones(ids.size, dtype=bool), "Newton budget exhausted")
     return results
 
 
-def _backtrack(spec: MixtureSpec, eqs: _Equations, x: np.ndarray,
-               step: np.ndarray, norm0: np.ndarray, pending: np.ndarray,
-               x_new: np.ndarray, r_new: np.ndarray) -> np.ndarray:
-    """Halve the steps of the members ``pending``, whose full step did not
-    bring the residual 2-norm below ``norm0``, until it does.
+def _backtrack(spec: MixtureSpec, rhs: np.ndarray, x: np.ndarray,
+               step: np.ndarray, norm0: np.ndarray, x_new: np.ndarray,
+               r_new: np.ndarray) -> np.ndarray:
+    """Halve the steps of the members whose full step (to ``x_new``, with
+    residuals ``r_new``) did not bring the residual 2-norm below
+    ``norm0``, until it does.
 
     They have all failed the same trials, so they share one step length.
     Accepted iterates are written into ``x_new`` and ``r_new``. Returns
     the mask of the members that stalled.
     """
-    x, step, norm0 = x[pending], step[pending], norm0[pending]
-    eqs = eqs.take(pending)
-    t = 1.0
-    for _ in range(_MAX_HALVINGS):
-        t *= 0.5
-        x_try = x + t * step
-        r_try = residual(spec, eqs, x_try)
-        ok = _norms(r_try) < norm0
-        if ok.any():
-            x_new[pending[ok]] = x_try[ok]
-            r_new[pending[ok]] = r_try[ok]
-            keep = ~ok
-            pending, x, step, norm0 = (pending[keep], x[keep], step[keep],
-                                       norm0[keep])
-            eqs = eqs.take(keep)
-            if not pending.size:
-                break
+    pending = np.flatnonzero(~(_norms(r_new) < norm0))
     stalled = np.zeros(len(x_new), dtype=bool)
+    t = 1.0
+    while pending.size and t > 0.5 ** _MAX_HALVINGS:
+        t *= 0.5
+        x_try = x[pending] + t * step[pending]
+        r_try = residual(spec, rhs[pending], x_try)
+        ok = _norms(r_try) < norm0[pending]
+        x_new[pending[ok]] = x_try[ok]
+        r_new[pending[ok]] = r_try[ok]
+        pending = pending[~ok]
     stalled[pending] = True
     return stalled
-
-
-def _reject_runaway(spec: MixtureSpec, x: np.ndarray) -> None:
-    """Reject converged iterates whose roots escaped to infinity.
-
-    The residual of a scattering phase flattens once its argument is
-    many orders of magnitude beyond c, so Newton can satisfy the
-    tolerance with an auxiliary root at ~1e10*c. Such configurations
-    are not regular solutions (their energy duplicates a state of a
-    smaller auxiliary sector); genuine roots stay within a few orders
-    of magnitude of max(1, c).
-    """
-    bound = 1e5 * (1.0 + spec.c)
-    worst = float(np.abs(x).max()) if x.size else 0.0
-    if worst > bound:
-        raise NonConvergence(
-            f"root escaped to {worst:.3e} (non-regular solution)", 0.0)
 
 
 def _ladder(spec: MixtureSpec, qns: Sequence[QuantumNumberConfig]
@@ -634,7 +584,7 @@ def solve(spec: MixtureSpec, qn: QuantumNumberConfig,
     :func:`_ladder`); if that fails too, the direct run's error is
     raised. Whichever run converged, an iterate with a root escaped far
     beyond the physical scale is rejected as non-regular (see
-    :func:`_reject_runaway`); it does not start a ladder. Deterministic;
+    :func:`_finalize`); it does not start a ladder. Deterministic;
     families are returned ascending (a no-op for configurations with
     ordered quantum numbers, by root monotonicity). This is
     :func:`solve_many` of one configuration.
@@ -646,12 +596,20 @@ def solve(spec: MixtureSpec, qn: QuantumNumberConfig,
 
 
 def _finalize(spec: MixtureSpec, x: np.ndarray) -> RootSet | NonConvergence:
-    """Sorted roots of a converged iterate, or the NonConvergence of
-    :func:`_reject_runaway`."""
-    try:
-        _reject_runaway(spec, x)
-    except NonConvergence as err:
-        return err
+    """Sorted roots of a converged iterate, or a NonConvergence when a
+    root escaped to infinity.
+
+    The residual of a scattering phase flattens once its argument is
+    many orders of magnitude beyond c, so Newton can satisfy the
+    tolerance with an auxiliary root at ~1e10*c. Such configurations
+    are not regular solutions (their energy duplicates a state of a
+    smaller auxiliary sector); genuine roots stay within a few orders
+    of magnitude of max(1, c).
+    """
+    worst = float(np.abs(x).max())
+    if worst > 1e5 * (1.0 + spec.c):
+        return NonConvergence(
+            f"root escaped to {worst:.3e} (non-regular solution)", 0.0)
     r = _split(spec, x)
     return RootSet(k=np.sort(r.k), lam=np.sort(r.lam), mu=np.sort(r.mu))
 

@@ -46,10 +46,9 @@ EXIT_NUMERICAL = 3
 EXIT_UNWRITABLE = 4
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
+def _fmt(value: float) -> str:
+    """A float cell with 17 significant digits, enough to round-trip."""
+    return format(float(value), ".17g")
 
 
 def _cells(row: Sequence) -> list:

@@ -188,14 +188,15 @@ def _bisect_kf(density: float, c: float, nodes: int,
 
 
 def solve_ground_density(density: float, c: float, *,
-                         tol: float = _ENERGY_TOL,
                          initial_nodes: int = 200,
                          max_nodes: int = 6400) -> DensityProfile:
     """Ground-state density profile at particle density n and coupling c.
 
     Doubles the Gauss-Legendre node count from ``initial_nodes`` until
-    the energy per unit length changes by less than ``tol`` relatively;
-    raises NonConvergence if ``max_nodes`` is hit first. Each level's
+    the energy per unit length changes by less than ``_ENERGY_TOL``
+    relatively; raises NonConvergence if ``max_nodes`` is hit first, with
+    the last relative change between two levels that bracketed k_F as
+    its best residual (NaN when fewer than two did). Each level's
     k_F search starts from the previous level's k_F. Raises ValueError
     up front when the energy density could overflow: it is at most the
     impenetrable limit pi^2 n^3 / 3.
@@ -204,8 +205,6 @@ def solve_ground_density(density: float, c: float, *,
         raise ValueError("density and c must be finite")
     if density <= 0 or c <= 0:
         raise ValueError("density and c must be positive")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     if initial_nodes < 1:
         raise ValueError(f"initial_nodes must be >= 1, got {initial_nodes!r}")
     with np.errstate(over="ignore"):
@@ -214,6 +213,7 @@ def solve_ground_density(density: float, c: float, *,
                              "energy density would overflow")
     nodes = initial_nodes
     prev_e = k_f = None
+    change = float("nan")
     while nodes <= max_nodes:
         k_f, bracketed = _bisect_kf(density, c, nodes, k_f)
         if not bracketed:
@@ -222,15 +222,18 @@ def solve_ground_density(density: float, c: float, *,
             continue
         k, wk, rho, a = _nystroem(k_f, c, nodes)
         e = float(wk @ (k * k * rho))
-        if prev_e is not None and abs(e - prev_e) <= tol * max(abs(e), 1e-30):
+        scale = max(abs(e), 1e-30)
+        if prev_e is not None and abs(e - prev_e) <= _ENERGY_TOL * scale:
             z = np.linalg.solve(a, k * k)
             return DensityProfile(grid=k, weights=wk, values=rho, k_f=k_f,
                                   energy_density=e, density=float(wk @ rho),
                                   c=c, backflow_weights=wk * z)
+        if prev_e is not None:
+            change = abs(e - prev_e) / scale
         prev_e = e
         nodes *= 2
     raise NonConvergence("ground density did not converge in node budget",
-                         float("nan"))
+                         change)
 
 
 def hole_energy(profile: DensityProfile, k_bar: float) -> float:

@@ -17,9 +17,8 @@ from hypothesis import given, settings, strategies as st
 from bfmix import bae
 from bfmix.bae import (_COUPLINGS, InvalidConfig, MixtureSpec,
                        NonConvergence, QuantumNumberConfig, RootSet,
-                       _reject_runaway,
-                       default_initial_guess, energy_momentum, jacobian,
-                       required_parities, residual, solve, theta,
+                       _finalize, default_initial_guess, energy_momentum,
+                       jacobian, required_parities, residual, solve, theta,
                        theta_prime, validate)
 from bfmix.excitations import (_offset_runs, _parity_values,
                                 ground_state_numbers)
@@ -438,10 +437,13 @@ def test_solution_residual_is_tiny():
 
 
 def test_runaway_guard_unit():
-    spec = MixtureSpec("bff", 1, 0, 0, 1.0, 1.0)
-    _reject_runaway(spec, np.array([1.0, 30.0]))  # physical scale: fine
-    with pytest.raises(NonConvergence):
-        _reject_runaway(spec, np.array([1.0, 1e12]))
+    spec = MixtureSpec("bff", 1, 1, 0, 1.0, 1.0)
+    fine = _finalize(spec, np.array([1.0, 30.0]))  # physical scale
+    assert isinstance(fine, RootSet) and fine.lam.tolist() == [30.0]
+    escaped = _finalize(spec, np.array([1.0, 1e12]))
+    assert isinstance(escaped, NonConvergence)
+    assert str(escaped) == ("root escaped to 1.000e+12 (non-regular "
+                            "solution) (best residual 0.000e+00)")
 
 
 def test_runaway_line_search_emits_no_warning():
@@ -550,6 +552,31 @@ def test_stacked_newton_matches_one_member_runs(monkeypatch):
     assert {_kind(res) for res in stacked} == {
         "converged", "line search stalled", "singular Jacobian",
         "Newton budget exhausted"}
+
+
+def test_stack_steps_as_often_as_its_slowest_member(monkeypatch):
+    # members leave the stack without costing it a step or a call on an
+    # empty stack: one jacobian call per step of the slowest member
+    spec = MixtureSpec("ffb", 2, 2, 1, 2.0, 1.0)
+    qns = _mixed_stack(spec)
+    x0 = np.array([bae._stack(default_initial_guess(spec, qn))
+                   for qn in qns])
+    sizes = {"residual": [], "jacobian": []}
+    for name, calls in sizes.items():
+        def counted(spec, qn, roots, fn=getattr(bae, name), calls=calls):
+            calls.append(len(roots))
+            return fn(spec, qn, roots)
+        monkeypatch.setattr(bae, name, counted)
+    alone = []
+    for qn, x in zip(qns, x0):
+        sizes["jacobian"].clear()
+        bae._newton(spec, [qn], x[None])
+        alone.append(len(sizes["jacobian"]))
+    sizes["residual"].clear()
+    sizes["jacobian"].clear()
+    bae._newton(spec, qns, x0)
+    assert len(sizes["jacobian"]) == max(alone)
+    assert min(sizes["residual"] + sizes["jacobian"]) > 0
 
 
 @pytest.mark.parametrize("case, n, m, mp, c", [
