@@ -190,12 +190,16 @@ def theta(n_par: float, x, c: float):
 
 
 def theta_prime(n_par: float, x, c: float):
-    """d/dx Theta_n(x) = -2*n*c / ((n*c)**2 + x**2)."""
+    """d/dx Theta_n(x) = -2*n*c / ((n*c)**2 + x**2).
+
+    x*x may overflow to inf on diverging iterates, where the limit 0 is
+    returned. Where both (n*c)**2 and x*x underflow to 0 (n*c below about
+    1e-162) the value is -inf, as in the Newton kernel
+    ``_theta_prime_into``; both float warnings are suppressed.
+    """
     a = n_par * c
     x = np.asarray(x, dtype=float)
-    # x*x may overflow to inf on diverging iterates; the limit 0 is the
-    # correct derivative there, so the overflow warning is suppressed.
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         return (-2.0 * a) / (a * a + x * x)
 
 

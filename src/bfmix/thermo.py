@@ -21,7 +21,12 @@ so each dressed energy is one kernel evaluation and a dot product.
 
 Discretization: Gauss-Legendre Nystroem on [-k_F, k_F], node count
 doubled until the energy density is stable to the requested tolerance.
-The quadrature rule is computed once per node count and cached. At each
+The rule is mirror-symmetric and rho0 is even, so each probe solves the
+system folded onto the ceil(n/2) non-negative nodes, with the kernel
+K2(k - k') + K2(k + k') and each positive node carrying its mirror's
+weight; the converged profile is mirrored back onto the full grid. The
+rule comes from Newton's method on the Legendre recurrence, O(n^2)
+operations, and is computed once per node count and cached. At each
 node count k_F is found by a safeguarded Brent search on the density
 constraint, started from a narrow bracket around the previous level's
 k_F and falling back to the full bracket when that misses the root.
@@ -45,12 +50,16 @@ _ENERGY_TOL = 1e-8
 def kernel(m: float, x, c: float):
     """Lorentzian kernel K_m(x) = (1/pi) (mc/2) / ((mc/2)^2 + x^2).
 
-    Where the denominator overflows, the kernel (then below 1e-154) is
-    returned as 0 without a warning.
+    Evaluated as (1/pi) / (mc/2 + x^2 / (mc/2)), which forms no product
+    of two small numbers: K_m(0) = 1/(pi mc/2) stays finite down to
+    mc/2 of about 2e-309, where it leaves the float range. Where
+    x^2 / (mc/2) overflows, the kernel (then below 1e-308) is returned
+    as 0 without a warning.
     """
     half = 0.5 * m * c
+    x = np.asarray(x)
     with np.errstate(over="ignore"):
-        return (half / np.pi) / (half * half + np.asarray(x) ** 2)
+        return (1.0 / np.pi) / (half + x * x / half)
 
 
 @dataclass(eq=False)
@@ -75,11 +84,58 @@ class DensityProfile:
         return self.grid.size
 
 
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P_n(x), P_n'(x)) for n >= 1 and |x| < 1, by the three-term
+    recurrence (k + 1) P_(k+1) = (2k + 1) x P_k - k P_(k-1)."""
+    prev, p = np.ones_like(x), x.copy()
+    term = np.empty_like(x)
+    for k in range(1, n):
+        np.multiply(x, p, out=term)
+        term *= (2 * k + 1) / (k + 1)
+        prev *= -k / (k + 1)
+        prev += term
+        prev, p = p, prev
+    return p, n * (prev - x * p) / ((1.0 - x) * (1.0 + x))
+
+
+def _unfold(half: np.ndarray, nodes: int) -> np.ndarray:
+    """Even function on all ``nodes`` ascending nodes from its values on
+    the non-negative ones."""
+    return np.concatenate((half[::-1][:nodes // 2], half))
+
+
 @functools.lru_cache(maxsize=8)
 def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1]; one rule per
-    node count (200 ... 6400 under node doubling), never the matrix."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    """Read-only Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on P_n finds the non-negative half of the nodes,
+    starting from Tricomi's estimates (1 - (n-1)/(8 n^3)) cos(pi (4i-1) /
+    (4n+2)); three or four steps reach machine precision. Each
+    step evaluates the recurrence at every node, so the rule costs O(n^2)
+    operations (Hale & Townsend, SIAM J. Sci. Comput. 35, A652, 2013).
+    The weights are 2 / ((1 - x^2) P_n'(x)^2), taken at the last iterate
+    and moved to the root to first order. The negative half is the exact
+    mirror image: x == -x[::-1] and w == w[::-1]. Cached per node count
+    (200 ... 6400 under node doubling).
+    """
+    half = nodes // 2
+    i = np.arange(half, 0, -1)
+    x = (1.0 - (nodes - 1) / (8.0 * nodes ** 3)) * np.cos(
+        np.pi * (4 * i - 1) / (4 * nodes + 2))
+    if nodes % 2:
+        x = np.concatenate(([0.0], x))
+    for _ in range(10):
+        p, dp = _legendre(nodes, x)
+        step = p / dp
+        # the weight at the root x - step: at a root of P_n,
+        # d(log w)/dx = -2x / (1 - x^2)
+        one_minus_x2 = (1.0 - x) * (1.0 + x)
+        w = (2.0 + 4.0 * x * step / one_minus_x2) / (one_minus_x2 * dp * dp)
+        x -= step
+        if np.abs(step).max() <= _EPS:
+            break
+    x, w = _unfold(x, nodes), _unfold(w, nodes)
+    x[:half] *= -1.0
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -89,13 +145,22 @@ def _nystroem(k_f: float, c: float, nodes: int
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Solve the ground-density equation at fixed k_F and node count.
 
-    Returns (k, wk, rho, a) with a = I - K2 w the Nystroem matrix.
+    rho is even, so the system is folded onto the ceil(n/2) non-negative
+    nodes k: a = I - [K2(k_i - k_j) + K2(k_i + k_j)] wk_j / 2. wk carries
+    each positive node's mirror weight (the centre node of an odd count
+    has none), so ``wk @ f`` integrates an even f over [-k_F, k_F].
+    Returns (k, wk, rho, a).
     """
     x, w = _gauss_legendre(nodes)
-    k = k_f * x
-    wk = k_f * w
-    a = np.eye(nodes) - kernel(2.0, k[:, None] - k[None, :], c) * wk[None, :]
-    rho = np.linalg.solve(a, np.full(nodes, 1.0 / (2.0 * np.pi)))
+    half = nodes // 2
+    k = k_f * x[half:]
+    wk = k_f * w[half:]
+    wk[nodes % 2:] *= 2.0
+    a = (kernel(2.0, k[:, None] - k[None, :], c)
+         + kernel(2.0, k[:, None] + k[None, :], c))
+    a *= -0.5 * wk
+    a.flat[::k.size + 1] += 1.0
+    rho = np.linalg.solve(a, np.full(k.size, 1.0 / (2.0 * np.pi)))
     return k, wk, rho, a
 
 
@@ -196,7 +261,9 @@ def solve_ground_density(density: float, c: float, *,
     the energy per unit length changes by less than ``_ENERGY_TOL``
     relatively; raises NonConvergence if ``max_nodes`` is hit first, with
     the last relative change between two levels that bracketed k_F as
-    its best residual (NaN when fewer than two did). Each level's
+    its best residual (NaN when fewer than two did). When no level
+    brackets k_F at all (the kernel is far narrower than the node
+    spacing), the NonConvergence says so. Each level's
     k_F search starts from the previous level's k_F. Raises ValueError
     up front when the energy density could overflow: it is at most the
     impenetrable limit pi^2 n^3 / 3.
@@ -214,24 +281,32 @@ def solve_ground_density(density: float, c: float, *,
     nodes = initial_nodes
     prev_e = k_f = None
     change = float("nan")
+    bracketed_any = False
     while nodes <= max_nodes:
         k_f, bracketed = _bisect_kf(density, c, nodes, k_f)
         if not bracketed:
             prev_e = k_f = None  # resolution insufficient; never accept this
             nodes *= 2
             continue
+        bracketed_any = True
         k, wk, rho, a = _nystroem(k_f, c, nodes)
         e = float(wk @ (k * k * rho))
         scale = max(abs(e), 1e-30)
         if prev_e is not None and abs(e - prev_e) <= _ENERGY_TOL * scale:
             z = np.linalg.solve(a, k * k)
-            return DensityProfile(grid=k, weights=wk, values=rho, k_f=k_f,
-                                  energy_density=e, density=float(wk @ rho),
-                                  c=c, backflow_weights=wk * z)
+            x, w = _gauss_legendre(nodes)
+            weights = k_f * w
+            return DensityProfile(
+                grid=k_f * x, weights=weights, values=_unfold(rho, nodes),
+                k_f=k_f, energy_density=e, density=float(wk @ rho), c=c,
+                backflow_weights=weights * _unfold(z, nodes))
         if prev_e is not None:
             change = abs(e - prev_e) / scale
         prev_e = e
         nodes *= 2
+    if not bracketed_any:
+        raise NonConvergence(f"no node level up to {max_nodes} nodes "
+                             "bracketed k_F", change)
     raise NonConvergence("ground density did not converge in node budget",
                          change)
 

@@ -50,6 +50,20 @@ def test_theta_prime_matches_finite_difference():
             float(fd), rel=1e-8, abs=1e-9)
 
 
+def test_theta_prime_at_underflowing_coupling_is_quiet():
+    # (n c)^2 and x^2 both underflow to 0: -inf, as in the Newton kernel,
+    # without a divide-by-zero warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert float(theta_prime(1.0, 0.0, 1e-170)) == -np.inf
+    # unchanged bits at ordinary couplings
+    x = np.linspace(-5.0, 5.0, 41)
+    for n_par, c in ((0.5, 0.3), (1.0, 1.0), (2.0, 1e3)):
+        a = n_par * c
+        assert np.array_equal(theta_prime(n_par, x, c),
+                              (-2.0 * a) / (a * a + x * x))
+
+
 # ----------------------------------------------------- spec validation
 
 def test_spec_rejects_bad_inputs():

@@ -17,6 +17,7 @@ import shutil
 import subprocess
 import sys
 import tomllib
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +221,19 @@ def test_thermo_writes_profile_and_dressed_energies(tmp_path):
     assert kinds.count("rho0") >= 200
     k_f = float(rows[0].split(",")[2])
     assert k_f == pytest.approx(1.8081260665908527, rel=1e-10)
+
+
+def test_thermo_unresolvable_coupling_exits_3_without_warning(tmp_path,
+                                                              capsys):
+    # (c/2)^2 underflows at c = 1e-200, but the kernel stays finite; no
+    # node level resolves a kernel that narrow, which is a numerical failure
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["thermo", "--density", "1", "--c", "1e-200",
+                   "--out", str(tmp_path / "th.csv")])
+    assert rc == EXIT_NUMERICAL
+    assert "no node level up to 6400 nodes bracketed k_F" \
+        in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------------

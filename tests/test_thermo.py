@@ -18,6 +18,8 @@ from bfmix.bae import NonConvergence
 from bfmix.thermo import (DensityProfile, fermion_dressed_energy,
                           hole_energy, kernel, solve_ground_density)
 
+_EPS = np.finfo(float).eps
+
 
 @pytest.fixture(scope="module")
 def prof_c1():
@@ -58,6 +60,24 @@ def test_kernel_is_normalized_lorentzian():
     exact = (2.0 / np.pi) * np.arctan(8000.0 / 1.3)
     assert float(np.trapezoid(val, x)) == pytest.approx(exact, abs=1e-8)
     assert float(kernel(1.0, 0.0, 2.0)) == pytest.approx(1.0 / np.pi)
+
+
+def test_kernel_peak_survives_underflowing_width():
+    # (mc/2)^2 underflows to 0 at c = 1e-200; the peak 1/(pi mc/2) does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        peak = float(kernel(2.0, 0.0, 1e-200))
+    assert peak == pytest.approx(1.0 / (np.pi * 1e-200), rel=1e-15)
+
+
+@pytest.mark.parametrize("m", [1.0, 2.0])
+@pytest.mark.parametrize("c", [1e-3, 1.0, 10.0, 1e5])
+def test_kernel_matches_textbook_form(m, c):
+    half = 0.5 * m * c
+    x = np.concatenate((np.linspace(-50.0, 50.0, 1001) * half, [0.0, 3e3]))
+    textbook = (half / np.pi) / (half * half + x * x)
+    np.testing.assert_allclose(kernel(m, x, c), textbook, rtol=4 * _EPS,
+                               atol=0)
 
 
 @pytest.mark.parametrize("c", [0.5, 1.0, 10.0])
@@ -134,6 +154,45 @@ def test_kf_search_probe_budget(monkeypatch):
     prof = solve_ground_density(1.0, 10.0)
     assert prof.nodes == 400
     assert len(probes) <= 24
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 101, 400, 1600])
+def test_gauss_legendre_rule(n):
+    x, w = thermo._gauss_legendre(n)
+    assert x.size == w.size == n
+    assert np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    # exact for every polynomial of degree <= 2n - 1; the odd ones vanish
+    # by the symmetry above
+    j = np.arange(n)
+    moments = (x[None, :] ** (2 * j[:, None])) @ w
+    np.testing.assert_allclose(moments, 2.0 / (2 * j + 1), rtol=1e-12,
+                               atol=0)
+    # numpy's eigenvalue rule as an independent check of the nodes. Near
+    # x = 0 both rules are accurate in absolute, not relative, terms, so
+    # the ulp is that of the interval's end, 1. (numpy's weights miss the
+    # moments above by 3.3e-10 at n = 1600, so they are not compared.)
+    reference, _ = np.polynomial.legendre.leggauss(n)
+    assert np.abs(x - reference).max() <= 2 * np.spacing(1.0)
+
+
+@pytest.mark.parametrize("nodes", [7, 200])
+@pytest.mark.parametrize("c", [1e-3, 1.0, 10.0])
+def test_folded_nystroem_matches_full_system(nodes, c):
+    # the unfolded Nystroem system on all nodes as the oracle
+    k_f = thermo._kf_bracket(1.0, c)
+    x, w = thermo._gauss_legendre(nodes)
+    k_full, wk_full = k_f * x, k_f * w
+    a_full = (np.eye(nodes)
+              - kernel(2.0, k_full[:, None] - k_full[None, :], c) * wk_full)
+    rho_full = np.linalg.solve(a_full, np.full(nodes, 1.0 / (2.0 * np.pi)))
+    k, wk, rho, _ = thermo._nystroem(k_f, c, nodes)
+    assert k.size == (nodes + 1) // 2 and np.all(k >= 0.0)
+    assert np.array_equal(k, k_full[nodes // 2:])
+    np.testing.assert_allclose(rho, rho_full[nodes // 2:], rtol=1e-12,
+                               atol=0)
+    assert float(wk @ rho) == pytest.approx(float(wk_full @ rho_full),
+                                            rel=1e-12, abs=0)
 
 
 def test_gauss_legendre_rule_is_cached_read_only():
@@ -232,6 +291,18 @@ def test_input_validation_and_budget():
         solve_ground_density(1.0, 1e-3, initial_nodes=200, max_nodes=100)
 
 
+def test_no_bracketing_level_is_reported():
+    # the kernel of width c = 1e-6 is far narrower than the node spacing,
+    # so the density at the top of the k_F bracket falls short at every
+    # level; the failure says so instead of "did not converge"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence,
+                           match="no node level up to 6400 nodes "
+                                 "bracketed k_F"):
+            solve_ground_density(1.0, 1e-6)
+
+
 def test_node_budget_failure_reports_last_energy_change():
     # E/L is 8.98e-4 at 200 nodes and 9.86e-4 at 400: the failure reports
     # their relative change, not NaN, which stays for fewer than two levels
@@ -264,7 +335,17 @@ def test_dressed_energy_far_tail_is_zero_without_warning(prof_c1):
 
 
 def test_profile_records_node_count():
-    prof = solve_ground_density(1.0, 1.0, initial_nodes=100)
-    assert isinstance(prof, DensityProfile)
-    assert prof.nodes == prof.grid.size
-    assert prof.weights.size == prof.nodes
+    # an odd count (101, the first level) probes with a node at k = 0,
+    # which has no mirror in the fold; doubling makes the accepted count
+    # even
+    for initial_nodes in (100, 101):
+        prof = solve_ground_density(1.0, 1.0, initial_nodes=initial_nodes)
+        assert isinstance(prof, DensityProfile)
+        assert prof.nodes == prof.grid.size
+        assert prof.weights.size == prof.values.size == prof.nodes
+        assert prof.backflow_weights.size == prof.nodes
+        assert np.array_equal(prof.grid, -prof.grid[::-1])
+        for even in (prof.weights, prof.values, prof.backflow_weights):
+            assert np.array_equal(even, even[::-1])
+        assert float(prof.weights @ prof.values) == pytest.approx(
+            prof.density, rel=1e-12)
