@@ -15,10 +15,20 @@ mu_1..mu_M'. With Theta_n(x) = -2*arctan(x/(n*c)) the residuals are
 where the half-integer parameters (a..h) of each sum depend on the
 ordering (see ``_COUPLINGS``; absent terms have parameter None). The
 self-referential summands (l = j etc.) are Theta(0) = 0 identically and
-contribute nothing to residuals or derivatives. Residual and Jacobian
-take a = parameter * c of each pair of the stacked roots
-x = (k, lambda, mu), with a*a and -2a, from one per-spec cache (see
-``_constants``); the constant terms 2 pi I etc. come from ``_rhs``.
+contribute nothing to residuals or derivatives.
+
+Residual and Jacobian work on the coupled pairs i < j of the stacked
+roots x = (k, lambda, mu), listed once per populations by
+``_pair_table``: one arctan and one theta_prime per pair, at a =
+parameter * c with a*a and -2a from one per-spec cache
+(``_constants``). The transpose (j, i) of every term is present too,
+with parameter mirror * parameter, mirror = +-1. Theta is odd in x and
+in its parameter and theta_prime is even in x, so the mirror entries
+are exactly -mirror * Theta and mirror * theta_prime of the pair. Both
+entries go into a full D x D matrix, 0 where a term is absent and on
+the diagonal, whose rows are summed: the same sums, bit for bit, as
+computing every entry on its own. The constant terms 2 pi I etc. come
+from ``_rhs``.
 
 Quantum numbers I, J, J' are integers or half-odd integers; they are
 stored *doubled* (2I etc.) as exact ints. Every per-ordering rule (the
@@ -33,8 +43,14 @@ well-conditioned regime around c = 100, where the asymptotic-lattice
 seed is nearly exact. The iteration runs in lockstep over a stack of
 configurations of one spec (:func:`solve_many`; :func:`solve` is a stack
 of one), each member with its own line search, so stacking changes no
-member's bits: a stacked solve, last-axis sum or arctan gives what the
-one-member call gives. Pair terms are computed only where present.
+member's bits: a stacked solve, matrix product, last-axis sum or arctan
+gives what the one-member call gives. The Newton step solves the dense
+D x D system, except where the equations have no kk and no mm term
+(ffb, fbf) and D >= ``_SCHUR_MIN_D`` = 48: there the k and mu roots
+couple only to lambda, and the step eliminates their diagonal block and
+solves the M x M Schur complement on lambda (see ``_steps``). The choice
+depends on the spec alone, so a member of a stack still gets the bits
+that :func:`solve` gives it alone.
 """
 from __future__ import annotations
 
@@ -163,20 +179,6 @@ _SIGNS = {case: {k: (p > 0) - (p < 0) if p else 0 for k, p in cpl.items()}
           for case, cpl in _COUPLINGS.items()}
 
 
-def _theta_into(out: np.ndarray, a, where) -> np.ndarray:
-    """out <- -2*arctan(out / a) where ``where``; elsewhere out is kept."""
-    np.divide(out, a, out=out, where=where)
-    np.arctan(out, out=out, where=where)
-    return np.multiply(out, -2.0, out=out, where=where)
-
-
-def _theta_prime_into(out: np.ndarray, aa, neg2a, where) -> np.ndarray:
-    """out <- -2a / (a*a + out*out) where ``where``, given a*a and -2a."""
-    np.multiply(out, out, out=out, where=where)
-    np.add(out, aa, out=out, where=where)
-    return np.divide(neg2a, out, out=out, where=where)
-
-
 def theta(n_par: float, x, c: float):
     """Scattering phase Theta_n(x) = -2*arctan(x/(n*c)); odd in x.
 
@@ -195,7 +197,7 @@ def theta_prime(n_par: float, x, c: float):
     x*x may overflow to inf on diverging iterates, where the limit 0 is
     returned. Where both (n*c)**2 and x*x underflow to 0 (n*c below about
     1e-162) the value is -inf, as in the Newton kernel
-    ``_theta_prime_into``; both float warnings are suppressed.
+    (``_jacobian``); both float warnings are suppressed.
     """
     a = n_par * c
     x = np.asarray(x, dtype=float)
@@ -264,37 +266,68 @@ def validate(spec: MixtureSpec, qn: QuantumNumberConfig) -> None:
     _check_list("2J'", qn.two_jp, spec.mp, pjp)
 
 
-@functools.lru_cache(maxsize=8)
-def _coupling_table(case: str, n: int, m: int,
-                    mp: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (par, present) over the stacked roots x = (k, lambda, mu).
+def _validate_stack(spec: MixtureSpec,
+                    qns: Sequence[QuantumNumberConfig]) -> None:
+    """:func:`validate` of every configuration of a stack, as one array
+    pass over their quantum numbers; on a failure :func:`validate` of each
+    in turn raises the error of the first bad one."""
+    sizes = (spec.n, spec.m, spec.mp)
+    if all((len(qn.two_i), len(qn.two_j), len(qn.two_jp)) == sizes
+           for qn in qns):
+        two = np.array([(*qn.two_i, *qn.two_j, *qn.two_jp) for qn in qns])
+        family = np.repeat(np.arange(3), sizes)
+        parity = np.array(required_parities(spec))[family]
+        same = family[1:] == family[:-1]
+        if (two.dtype.kind == "i" and (two % 2 == parity).all()
+                and (two[:, 1:] > two[:, :-1])[:, same].all()):
+            return
+    for qn in qns:
+        validate(spec, qn)
 
-    par[i, j] is the ``_COUPLINGS`` parameter of the pair (1.0 where
-    absent); present[i, j] says whether Theta_par(x_i - x_j) enters row
-    i's equation, false for absent terms and on the diagonal.
+
+@functools.lru_cache(maxsize=8)
+def _pair_table(case: str, n: int, m: int,
+                mp: int) -> tuple[np.ndarray, ...]:
+    """Read-only (i, j, par, mirror, ij, ji) of the coupled pairs i < j of
+    the stacked roots x = (k, lambda, mu).
+
+    par is the ``_COUPLINGS`` parameter of Theta_par(x_i - x_j) in row
+    i's equation. Every term's transpose is present too, with parameter
+    mirror*par (mirror = +-1): its theta_prime is mirror times that of
+    (i, j), since theta_prime is even in x, and its Theta is -mirror
+    times, since Theta is odd in x and in its parameter. ij and ji index
+    the entries (i, j) and (j, i) of a row-major D x D matrix.
     """
     cpl = _COUPLINGS[case]
+    block = np.array([[cpl.get(a + b) for b in "klm"] for a in "klm"],
+                     dtype=float)
+    assert np.array_equal(np.abs(block), np.abs(block.T), equal_nan=True)
     family = np.repeat(np.arange(3), (n, m, mp))
-    par = np.array([[cpl.get(a + b) for b in "klm"] for a in "klm"],
-                   dtype=float)[family[:, None], family[None, :]]
-    present = ~np.isnan(par) & ~np.eye(family.size, dtype=bool)
-    par = np.where(present, par, 1.0)
-    par.setflags(write=False)
-    present.setflags(write=False)
-    return par, present
+    d = family.size
+    i, j = np.triu_indices(d, 1)
+    par = block[family[i], family[j]]
+    keep = ~np.isnan(par)
+    i, j, par = i[keep], j[keep], par[keep]
+    mirror = block[family[j], family[i]] / par
+    table = (i, j, par, mirror, i * d + j, j * d + i)
+    for arr in table:
+        arr.setflags(write=False)
+    return table
 
 
 @functools.lru_cache(maxsize=8)
 def _constants(spec: MixtureSpec) -> tuple[np.ndarray, ...]:
-    """Read-only (present, a, a*a, -2a) of a spec: the mask of
-    :func:`_coupling_table` and the constants of theta and theta_prime at
-    a = par*c, shared by every stack of the spec."""
-    par, present = _coupling_table(spec.case, spec.n, spec.m, spec.mp)
+    """Read-only (i, j, ij, ji, a, a*a, -2a, -mirror, mirror) of a spec:
+    the pairs of :func:`_pair_table`, the constants of theta and
+    theta_prime at a = par*c and the signs of their mirror entries,
+    shared by every stack of the spec."""
+    i, j, par, mirror, ij, ji = _pair_table(spec.case, spec.n, spec.m,
+                                            spec.mp)
     a = par * spec.c
-    consts = (a, a * a, -2.0 * a)
+    consts = (a, a * a, -2.0 * a, -mirror)
     for arr in consts:
         arr.setflags(write=False)
-    return (present,) + consts
+    return (i, j, ij, ji) + consts + (mirror,)
 
 
 def _rhs(qns: Sequence[QuantumNumberConfig]) -> np.ndarray:
@@ -303,28 +336,37 @@ def _rhs(qns: Sequence[QuantumNumberConfig]) -> np.ndarray:
                              + list(qn.two_jp) for qn in qns], dtype=float)
 
 
-def _pair_diffs(present: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x_i - x_j of each member's roots where present, else exactly 0.
-
-    The pair terms are computed from these only where present, so absent
-    pairs stay 0 when a diverging iterate makes a phase inf or NaN.
-    """
-    out = np.zeros(x.shape + x.shape[-1:])
-    return np.subtract(x[:, :, None], x[:, None, :], out=out, where=present)
+def _pair_matrix(terms: np.ndarray, sign: np.ndarray, ij: np.ndarray,
+                 ji: np.ndarray, d: int) -> np.ndarray:
+    """The (A, D, D) matrices with each member's pair terms at ij, sign
+    times them at ji and 0 elsewhere (absent terms and the diagonal);
+    ``terms`` is overwritten."""
+    out = np.zeros((len(terms), d * d))
+    out[:, ij] = terms
+    terms *= sign
+    out[:, ji] = terms
+    return out.reshape(len(terms), d, d)
 
 
 def _residual(spec: MixtureSpec, rhs: np.ndarray,
               x: np.ndarray) -> np.ndarray:
-    present, a, _, _ = _constants(spec)
-    terms = _theta_into(_pair_diffs(present, x), a, present)
+    i, j, ij, ji, a, _, _, sign, _ = _constants(spec)
+    theta = x[:, i] - x[:, j]
+    theta /= a
+    np.arctan(theta, out=theta)
+    theta *= -2.0
     r = rhs.copy()
     r[:, :spec.n] += x[:, :spec.n] * spec.L
-    return r - terms.sum(axis=-1)
+    return r - _pair_matrix(theta, sign, ij, ji, x.shape[-1]).sum(axis=-1)
 
 
 def _jacobian(spec: MixtureSpec, x: np.ndarray) -> np.ndarray:
-    present, _, aa, neg2a = _constants(spec)
-    jac = _theta_prime_into(_pair_diffs(present, x), aa, neg2a, present)
+    i, j, ij, ji, _, aa, neg2a, _, sign = _constants(spec)
+    prime = x[:, i] - x[:, j]
+    prime *= prime
+    prime += aa
+    np.divide(neg2a, prime, out=prime)
+    jac = _pair_matrix(prime, sign, ij, ji, x.shape[-1])
     diag = -jac.sum(axis=-1)
     diag[:, :spec.n] += spec.L
     jac.reshape(len(x), -1)[:, ::x.shape[-1] + 1] = diag
@@ -396,25 +438,80 @@ def _norms(r: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
 
 
-def _steps(jac: np.ndarray, r: np.ndarray
+def _solve(a: np.ndarray, b: np.ndarray
            ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Newton steps -J^-1 r of a stack, and the mask of singular members
-    (None when there is none).
+    """Solutions of a stack of systems a x = b, each b a column, and the
+    mask of singular members (None when there is none).
 
     One stacked solve; only when some member is singular, which fails the
     whole stack, is each member solved alone, with the same bits.
     """
     try:
-        return np.linalg.solve(jac, -r[:, :, None])[:, :, 0], None
+        return np.linalg.solve(a, b[:, :, None])[:, :, 0], None
     except np.linalg.LinAlgError:
-        steps = np.empty_like(r)
-        singular = np.zeros(len(r), dtype=bool)
-        for i in range(len(r)):
+        out = np.empty_like(b)
+        singular = np.zeros(len(b), dtype=bool)
+        for i in range(len(b)):
             try:
-                steps[i] = np.linalg.solve(jac[i], -r[i])
+                out[i] = np.linalg.solve(a[i], b[i])
             except np.linalg.LinAlgError:
                 singular[i] = True
-        return steps, singular
+        return out, singular
+
+
+#: Smallest D = N + M + M' from which the Newton steps of ffb and fbf
+#: solve the Schur complement (see :func:`_steps`). Per step on a 2-core
+#: machine, dense against Schur: one member 12 against 46 us at D = 7, 62
+#: against 65 us at D = 60 and 230 against 101 us at D = 114; five members
+#: 179 against 100 us at D = 48; thirty 1546 against 561 us at D = 60. The
+#: crossover lies near D = 60 for one member and D = 30 for five, so from
+#: 48 on the stacked sweeps gain and a lone solve loses little.
+_SCHUR_MIN_D = 48
+
+
+@functools.lru_cache(maxsize=8)
+def _outer(n: int, m: int, mp: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only indices of the k and mu roots in x = (k, lambda, mu),
+    and the flat indices of their diagonal entries of the D x D Jacobian."""
+    outer = np.r_[0:n, n + m:n + m + mp]
+    diag = outer * (n + m + mp + 1)
+    outer.setflags(write=False)
+    diag.setflags(write=False)
+    return outer, diag
+
+
+def _steps(spec: MixtureSpec, jac: np.ndarray, r: np.ndarray
+           ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Newton steps -J^-1 r of a stack, and the mask of singular members
+    (None when there is none).
+
+    Where the equations have no kk and no mm term (ffb, fbf), the k and
+    mu roots couple only to lambda, so their block of J is a diagonal d.
+    From D = ``_SCHUR_MIN_D`` on, the step then solves the M x M Schur
+    complement S = J_ll - J_lo d^-1 J_ol on lambda and back-substitutes
+    (block elimination; Golub and Van Loan, Matrix Computations, sec.
+    3.2). A zero in d is a zero row of J (the terms of a k or mu row share
+    one sign), so that member is singular. The path depends on the spec
+    alone, never on the stack, so a member keeps the bits of its own run.
+    """
+    cpl = _COUPLINGS[spec.case]
+    if cpl["kk"] or cpl["mm"] or r.shape[1] < _SCHUR_MIN_D:
+        return _solve(jac, -r)
+    outer, diag = _outer(spec.n, spec.m, spec.mp)
+    lam = slice(spec.n, spec.n + spec.m)
+    d = jac.reshape(len(r), -1)[:, diag]
+    j_ol = jac[:, outer, lam]
+    j_lo = jac[:, lam][:, :, outer] / d[:, None, :]
+    r_o = r[:, outer]
+    s_lam, singular = _solve(jac[:, lam, lam] - j_lo @ j_ol,
+                             (j_lo @ r_o[:, :, None])[:, :, 0] - r[:, lam])
+    steps = np.empty_like(r)
+    steps[:, lam] = s_lam
+    steps[:, outer] = -(r_o + (j_ol @ s_lam[:, :, None])[:, :, 0]) / d
+    if not d.all():
+        zero = ~d.all(axis=1)
+        singular = zero if singular is None else singular | zero
+    return steps, singular
 
 
 #: Doubles in one stacked (A, D, D) temporary of :func:`_newton`. A longer
@@ -474,7 +571,7 @@ def _lockstep(spec: MixtureSpec, rhs: np.ndarray,
         leave(rmax < _TOL)
         if not ids.size:
             return results
-        step, singular = _steps(jacobian(spec, rhs, x), r)
+        step, singular = _steps(spec, jacobian(spec, rhs, x), r)
         if singular is not None:
             leave(singular, "singular Jacobian")
             step = step[~singular]
@@ -558,10 +655,9 @@ def solve_many(spec: MixtureSpec, qns: Sequence[QuantumNumberConfig],
     that :func:`solve` raises for it. Invalid configurations raise
     InvalidConfig before any solve.
     """
-    for qn in qns:
-        validate(spec, qn)
     if not qns:
         return []
+    _validate_stack(spec, qns)
     x0 = np.array([_stack(init if init is not None
                           else default_initial_guess(spec, qn))
                    for qn, init in zip(qns, inits, strict=True)])
@@ -573,8 +669,13 @@ def solve_many(spec: MixtureSpec, qns: Sequence[QuantumNumberConfig],
         for i, x in zip(failed, laddered):
             if x is not None:
                 results[i] = x
-    return [res if isinstance(res, NonConvergence) else _finalize(spec, res)
-            for res in results]
+    done = [i for i, res in enumerate(results)
+            if not isinstance(res, NonConvergence)]
+    if done:
+        finalized = _finalize(spec, np.array([results[i] for i in done]))
+        for i, res in zip(done, finalized):
+            results[i] = res
+    return results
 
 
 def solve(spec: MixtureSpec, qn: QuantumNumberConfig,
@@ -599,9 +700,10 @@ def solve(spec: MixtureSpec, qn: QuantumNumberConfig,
     return result
 
 
-def _finalize(spec: MixtureSpec, x: np.ndarray) -> RootSet | NonConvergence:
-    """Sorted roots of a converged iterate, or a NonConvergence when a
-    root escaped to infinity.
+def _finalize(spec: MixtureSpec,
+              x: np.ndarray) -> list[RootSet | NonConvergence]:
+    """Sorted roots of each converged iterate of a stack (B, D), or a
+    NonConvergence where a root escaped to infinity.
 
     The residual of a scattering phase flattens once its argument is
     many orders of magnitude beyond c, so Newton can satisfy the
@@ -610,12 +712,14 @@ def _finalize(spec: MixtureSpec, x: np.ndarray) -> RootSet | NonConvergence:
     smaller auxiliary sector); genuine roots stay within a few orders
     of magnitude of max(1, c).
     """
-    worst = float(np.abs(x).max())
-    if worst > 1e5 * (1.0 + spec.c):
-        return NonConvergence(
-            f"root escaped to {worst:.3e} (non-regular solution)", 0.0)
-    r = _split(spec, x)
-    return RootSet(k=np.sort(r.k), lam=np.sort(r.lam), mu=np.sort(r.mu))
+    worst = np.abs(x).max(axis=1)
+    n, m = spec.n, spec.m
+    k, lam, mu = (np.sort(x[:, :n]), np.sort(x[:, n:n + m]),
+                  np.sort(x[:, n + m:]))
+    return [NonConvergence(f"root escaped to {w:.3e} (non-regular "
+                           "solution)", 0.0) if w > 1e5 * (1.0 + spec.c)
+            else RootSet(k=k[b], lam=lam[b], mu=mu[b])
+            for b, w in enumerate(worst.tolist())]
 
 
 def energy_momentum(spec: MixtureSpec, qn: QuantumNumberConfig,

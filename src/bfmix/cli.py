@@ -165,7 +165,16 @@ def _cmd_ybe_check(args) -> int:
     return EXIT_OK if worst < args.tol else EXIT_NUMERICAL
 
 
+def _check_particles(args) -> None:
+    """--n at most ``phases.MAX_PARTICLES``, as ``phase`` has it: a solve
+    holds D x D pair matrices, D up to 3N."""
+    if args.n > phases.MAX_PARTICLES:
+        raise InvalidConfig(f"--n must be at most {phases.MAX_PARTICLES}, "
+                            f"got {args.n}")
+
+
 def _spec_from(args) -> MixtureSpec:
+    _check_particles(args)
     return MixtureSpec(args.case, args.n, args.m, args.mp, args.l, args.c)
 
 
@@ -195,6 +204,7 @@ _FAMILY_BUILDERS = {
 
 
 def _cmd_excite(args) -> int:
+    _check_particles(args)
     if args.family == "two-fermions" and args.case != "bff":
         raise InvalidConfig("two-fermions sweep is defined on bff")
     names = list(_FAMILY_BUILDERS) if args.family == "all" \
@@ -216,6 +226,7 @@ def _cmd_excite(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    _check_particles(args)
     couplings = _parse_floats(args.c)
     spec0 = MixtureSpec(args.case, args.n, args.m, args.mp, args.l,
                         couplings[0])
@@ -287,7 +298,8 @@ def _cmd_phase(args) -> int:
 
 def _add_spec_flags(p, with_populations=True):
     p.add_argument("--case", required=True, choices=("bff", "fbf", "ffb"))
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True,
+                   help=f"particle number, 1..{phases.MAX_PARTICLES}")
     if with_populations:
         p.add_argument("--m", type=int, default=0)
         p.add_argument("--mp", type=int, default=0)

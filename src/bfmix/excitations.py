@@ -177,7 +177,15 @@ def particle_hole_numbers(spec: MixtureSpec, hole_position: int,
                           particle_number: float) -> QuantumNumberConfig:
     """Ground sequence with the hole_position-th I removed and a new one
     appended beyond the right edge of the sequence."""
-    base = ground_state_numbers(spec)
+    return _particle_hole(spec, ground_state_numbers(spec), hole_position,
+                          particle_number)
+
+
+def _particle_hole(spec: MixtureSpec, base: QuantumNumberConfig,
+                   hole_position: int,
+                   particle_number: float) -> QuantumNumberConfig:
+    """:func:`particle_hole_numbers` from the ground-state numbers
+    ``base`` of ``spec``, which a sweep builds once."""
     if not 1 <= hole_position <= spec.n:
         raise InvalidConfig(f"hole_position must be in 1..{spec.n}")
     two_p = _two(particle_number, "particle_number")
@@ -338,7 +346,7 @@ def _sweep_rows(spec: MixtureSpec, family, qn0: QuantumNumberConfig
         return [[((), spec, qn0)]]
     if isinstance(family, ParticleHole):
         return [[((float(hole), two_p / 2.0), spec,
-                  particle_hole_numbers(spec, hole, two_p / 2.0))
+                  _particle_hole(spec, qn0, hole, two_p / 2.0))
                  for two_p in range(n + 1, 3 * n, 2)]
                 for hole in range(1, n + 1)]
     if isinstance(family, AddOneFermion):

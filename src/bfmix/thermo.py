@@ -196,7 +196,8 @@ def _bisect_kf(density: float, c: float, nodes: int,
     When the resolution is too coarse for the kernel the integrated
     density at the full bracket top can fall short; that is reported as
     bracketed=False and left to the caller's node-doubling loop rather
-    than guessed at.
+    than guessed at. So is a NaN density there: below c of about 1e-308
+    the kernel peak overflows and every probe's density is NaN.
     """
     top = _kf_bracket(density, c)
     tol = _KF_TOL * top
@@ -213,7 +214,7 @@ def _bisect_kf(density: float, c: float, nodes: int,
             a, fa, b, fb = lo, f_lo, hi, f_hi
     if b is None:
         b, fb = top, excess(top)
-        if fb < 0.0:
+        if not fb >= 0.0:
             return float(top), False
     # Brent's zeroin: b is the best estimate, a the previous one, and the
     # root lies between b and the contrapoint cp.

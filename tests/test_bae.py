@@ -21,7 +21,7 @@ from bfmix.bae import (_COUPLINGS, InvalidConfig, MixtureSpec,
                        jacobian, required_parities, residual, solve, theta,
                        theta_prime, validate)
 from bfmix.excitations import (_offset_runs, _parity_values,
-                                ground_state_numbers)
+                                ground_state_numbers, particle_hole_numbers)
 
 ALL_CASES = ("bff", "fbf", "ffb")
 
@@ -176,6 +176,29 @@ def test_validate_enforces_count_parity_order():
         validate(spec, QuantumNumberConfig((-1, -1, 1), (0,), ()))
     with pytest.raises(InvalidConfig):   # non-int entries
         validate(spec, QuantumNumberConfig((-1.5, 0.5, 1.5), (0,), ()))
+
+
+def test_solve_many_raises_the_first_invalid_configuration(monkeypatch):
+    # one array pass checks a stack; a failure raises what validate says
+    # of the first bad configuration, before any solve
+    monkeypatch.setattr(bae, "_newton",
+                        lambda *a: pytest.fail("solved before validating"))
+    spec = MixtureSpec("ffb", 3, 2, 1, 3.0, 1.0)
+    good = QuantumNumberConfig((-3, -1, 1), (-1, 1), (1,))
+    validate(spec, good)
+    bad = [QuantumNumberConfig((-3, -1), (-1, 1), (1,)),        # count
+           QuantumNumberConfig((-3, -1, 1), (-1, 1), ()),       # count, J'
+           QuantumNumberConfig((-3, -1, 1), (-1, 1), (0,)),     # parity
+           QuantumNumberConfig((-3, 1, -1), (-1, 1), (1,)),     # order
+           QuantumNumberConfig((-3, -1, 1), (1, 1), (1,)),      # order, J
+           QuantumNumberConfig((-3.0, -1, 1), (-1, 1), (1,)),   # not ints
+           QuantumNumberConfig((-3, -1, 1), (-1, 1.0), (1,))]
+    for first, second in zip(bad, bad[1:] + bad[:1]):
+        with pytest.raises(InvalidConfig) as want:
+            validate(spec, first)
+        with pytest.raises(InvalidConfig) as got:
+            bae.solve_many(spec, [good, first, good, second], [None] * 4)
+        assert str(got.value) == str(want.value)
 
 
 def test_required_parities_allow_symmetric_ground_runs():
@@ -356,6 +379,126 @@ def test_jacobian_single_particle_is_box_length():
     assert j.shape == (1, 1) and j[0, 0] == pytest.approx(3.25)
 
 
+def _pair_parameters(spec) -> np.ndarray:
+    """The ``_COUPLINGS`` parameter of every pair (i, j) of the stacked
+    roots, NaN where row i's equation has no term in x_j or i == j."""
+    family = np.repeat(list("klm"), (spec.n, spec.m, spec.mp))
+    cpl = _COUPLINGS[spec.case]
+    par = np.array([[np.nan if cpl.get(a + b) is None else cpl[a + b]
+                     for b in family] for a in family], dtype=float)
+    np.fill_diagonal(par, np.nan)
+    return par
+
+
+def _full_matrix_kernel(spec, rhs, x):
+    """Residual and Jacobian of a stack from full D x D matrices of pair
+    terms, each (i, j) computed on its own and 0 where absent."""
+    par = _pair_parameters(spec)
+    present = ~np.isnan(par)
+    a = par * spec.c
+    d = x[:, :, None] - x[:, None, :]
+    theta = np.where(present, -2.0 * np.arctan(d / a), 0.0)
+    prime = np.where(present, (-2.0 * a) / (d * d + a * a), 0.0)
+    r = rhs.copy()
+    r[:, :spec.n] += x[:, :spec.n] * spec.L
+    diag = -prime.sum(axis=-1)
+    diag[:, :spec.n] += spec.L
+    for member, row in zip(prime, diag):
+        np.fill_diagonal(member, row)
+    return r - theta.sum(axis=-1), prime
+
+
+@pytest.mark.parametrize("case", ALL_CASES)
+def test_pair_kernel_matches_full_matrix_sums(case):
+    # each pair is computed once and mirrored, yet every row sums the same
+    # full row of terms: bit for bit, on finite, escaped and coincident
+    # roots
+    rng = np.random.default_rng(3)
+    for n, m, mp in ((1, 0, 0), (3, 2, 1), (9, 6, 4), (20, 19, 18)):
+        spec = MixtureSpec(case, n, m, mp, float(n), 0.7)
+        x = rng.normal(scale=2.0, size=(5, n + m + mp))
+        x[1, 0], x[2, -1], x[3] = np.inf, -np.inf, x[3, 0]
+        rhs = rng.normal(size=x.shape)
+        with np.errstate(**bae._QUIET):
+            want_r, want_j = _full_matrix_kernel(spec, rhs, x)
+            got_r = residual(spec, rhs, x)
+            got_j = jacobian(spec, rhs, x)
+        assert np.array_equal(got_r, want_r, equal_nan=True)
+        assert np.array_equal(got_j, want_j, equal_nan=True)
+
+
+@pytest.mark.parametrize("case", ALL_CASES)
+@pytest.mark.parametrize("escaped", [np.inf, -np.inf, np.nan])
+def test_absent_pairs_stay_zero_on_escaped_root(case, escaped):
+    # a diverging iterate makes the phases of its coupled pairs saturate
+    # or turn NaN; the pairs absent from the equations stay exactly 0,
+    # and a row with no term in the escaped root stays finite
+    spec = MixtureSpec(case, 4, 3, 2, 4.0, 1.0)
+    absent = np.isnan(_pair_parameters(spec))
+    np.fill_diagonal(absent, False)
+    x0 = np.linspace(-2.0, 2.0, absent.shape[0])
+    rhs = np.ones((1, x0.size))
+    for p in range(x0.size):
+        x = x0.copy()
+        x[p] = escaped
+        with np.errstate(**bae._QUIET):
+            r = residual(spec, rhs, x[None])[0]
+            jac = jacobian(spec, rhs, x[None])[0]
+        assert np.all(jac[absent] == 0.0)
+        assert np.all(np.isfinite(r[absent[:, p]]))
+
+
+@pytest.mark.parametrize("case, n, c", [("ffb", 20, 0.3), ("ffb", 24, 1.0),
+                                        ("fbf", 30, 0.7), ("fbf", 25, 3.0)])
+def test_schur_step_matches_dense_solve(monkeypatch, case, n, c):
+    # particle-hole states of the all-boson sector (D = 50 ... 72) from
+    # perturbed seeds: the step on the Schur complement is the dense
+    # Newton step to rounding
+    spec = _all_boson(case, n, float(n), c)
+    assert spec.n + spec.m + spec.mp >= bae._SCHUR_MIN_D
+    qns = [particle_hole_numbers(spec, hole, (n + 1 + 2 * p) / 2.0)
+           for hole in (1, n // 2, n) for p in range(4)]
+    x = np.array([bae._stack(default_initial_guess(spec, qn)) for qn in qns])
+    x += np.random.default_rng(5).normal(scale=0.05 * np.abs(x).max(),
+                                         size=x.shape)
+    rhs = bae._rhs(qns)
+    solved = []
+    solve_stack = bae._solve
+    monkeypatch.setattr(bae, "_solve", lambda a, b: solved.append(a.shape)
+                        or solve_stack(a, b))
+    with np.errstate(**bae._QUIET):
+        r = residual(spec, rhs, x)
+        jac = jacobian(spec, rhs, x)
+        step, singular = bae._steps(spec, jac, r)
+        monkeypatch.setattr(bae, "_SCHUR_MIN_D", 10 ** 9)
+        dense, _ = bae._steps(spec, jac, r)
+    assert singular is None
+    assert solved == [(len(qns), spec.m, spec.m), jac.shape]
+    assert np.all(np.abs(step - dense).max(axis=1)
+                  <= 1e-12 * np.abs(dense).max(axis=1))
+    residue = np.linalg.norm(np.einsum("aij,aj->ai", jac, step) + r, axis=1)
+    assert np.all(residue <= 8 * np.finfo(float).eps
+                  * np.linalg.norm(jac, axis=(1, 2))
+                  * np.linalg.norm(step, axis=1))
+
+
+def test_schur_step_zero_pivot_is_singular(monkeypatch):
+    # a mu root at infinity zeroes its row of J, diagonal included: the
+    # Schur step marks that member singular, as the dense solve does
+    spec = _all_boson("ffb", 20, 20.0, 1.0)
+    x = np.array([bae._stack(default_initial_guess(
+        spec, ground_state_numbers(spec)))] * 2)
+    x[1, -1] = np.inf
+    rhs = np.zeros_like(x)
+    with np.errstate(**bae._QUIET):
+        r = residual(spec, rhs, x)
+        jac = jacobian(spec, rhs, x)
+        _, singular = bae._steps(spec, jac, r)
+        monkeypatch.setattr(bae, "_SCHUR_MIN_D", 10 ** 9)
+        _, dense = bae._steps(spec, jac, r)
+    assert singular.tolist() == dense.tolist() == [False, True]
+
+
 # ------------------------------------------------- solver invariants
 
 def test_momentum_equals_sum_of_charge_roots():
@@ -452,9 +595,9 @@ def test_solution_residual_is_tiny():
 
 def test_runaway_guard_unit():
     spec = MixtureSpec("bff", 1, 1, 0, 1.0, 1.0)
-    fine = _finalize(spec, np.array([1.0, 30.0]))  # physical scale
+    fine, escaped = _finalize(spec, np.array([[1.0, 30.0],  # physical scale
+                                              [1.0, 1e12]]))
     assert isinstance(fine, RootSet) and fine.lam.tolist() == [30.0]
-    escaped = _finalize(spec, np.array([1.0, 1e12]))
     assert isinstance(escaped, NonConvergence)
     assert str(escaped) == ("root escaped to 1.000e+12 (non-regular "
                             "solution) (best residual 0.000e+00)")
@@ -596,6 +739,7 @@ def test_stack_steps_as_often_as_its_slowest_member(monkeypatch):
 @pytest.mark.parametrize("case, n, m, mp, c", [
     ("ffb", 3, 2, 1, 1.0),   # runaway and stalled members beside converged
     ("bff", 4, 3, 1, 0.1),   # members the coupling ladder rescues
+    ("ffb", 21, 20, 19, 1.0),  # D = 60: Schur steps, singular members too
 ])
 def test_solve_many_matches_solve_per_member(monkeypatch, case, n, m, mp,
                                              c):

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bfmix import algebra, bae, cli, phases, thermo
+from bfmix import algebra, bae, cli, excitations, phases, thermo
 from bfmix.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -236,6 +236,18 @@ def test_thermo_unresolvable_coupling_exits_3_without_warning(tmp_path,
         in capsys.readouterr().err
 
 
+def test_thermo_overflowing_kernel_exits_3_without_warning(tmp_path, capsys):
+    # at c = 5e-324 the kernel peak overflows and every density is NaN: no
+    # node level brackets k_F, found in one probe per level
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["thermo", "--density", "1", "--c", "5e-324",
+                   "--out", str(tmp_path / "th.csv")])
+    assert rc == EXIT_NUMERICAL
+    assert "no node level up to 6400 nodes bracketed k_F" \
+        in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------------
 # CSV bytes
 # ----------------------------------------------------------------------------
@@ -417,6 +429,15 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
         for bad_n in ("0", "-3", "1001"):  # 1 <= n <= MAX_PARTICLES
             assert main(["phase", "--regime", regime, "--n", bad_n, "--l",
                          "3", "--ratio", "0", "--h", "0"]) == EXIT_USAGE
+    with monkeypatch.context() as m:  # the same cap, before any solve
+        for name in ("solve", "solve_many"):
+            m.setattr(excitations, name,
+                      lambda *a: pytest.fail("solved before validating"))
+        for command in ("ground", "excite", "density"):
+            assert main([command, "--case", "ffb", "--n", "1001", "--l",
+                         "1001", "--c", "1"]) == EXIT_USAGE
+        assert "--n must be at most 1000, got 1001" \
+            in capsys.readouterr().err
     capsys.readouterr()
     # the two-fermions family names its own need, not a derived spec
     assert main(["excite", "--case", "bff", "--n", "1", "--l", "1",

@@ -303,6 +303,28 @@ def test_no_bracketing_level_is_reported():
             solve_ground_density(1.0, 1e-6)
 
 
+def test_overflowing_kernel_peak_is_no_bracket(monkeypatch):
+    # below c of about 1e-308 the kernel peak 1/(pi c) overflows and every
+    # probe's density is NaN; a NaN excess at the bracket top is no
+    # bracket, so each node level costs one probe instead of a Brent
+    # search on NaN
+    levels = []
+    nystroem = thermo._nystroem
+
+    def counted(k_f, c, nodes):
+        levels.append(nodes)
+        return nystroem(k_f, c, nodes)
+
+    monkeypatch.setattr(thermo, "_nystroem", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence,
+                           match="no node level up to 6400 nodes "
+                                 "bracketed k_F"):
+            solve_ground_density(1.0, 5e-324)
+    assert levels == [200, 400, 800, 1600, 3200, 6400]
+
+
 def test_node_budget_failure_reports_last_energy_change():
     # E/L is 8.98e-4 at 200 nodes and 9.86e-4 at 400: the failure reports
     # their relative change, not NaN, which stays for fewer than two levels
