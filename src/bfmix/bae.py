@@ -19,14 +19,14 @@ contribute nothing to residuals or derivatives.
 
 Residual and Jacobian work on the coupled pairs i < j of the stacked
 roots x = (k, lambda, mu), listed once per populations by
-``_pair_table``: one arctan and one theta_prime per pair, at a =
-parameter * c with a*a and -2a from one per-spec cache
-(``_constants``). The transpose (j, i) of every term is present too,
-with parameter mirror * parameter, mirror = +-1. Theta is odd in x and
-in its parameter and theta_prime is even in x, so the mirror entries
-are exactly -mirror * Theta and mirror * theta_prime of the pair. Both
-entries go into a full D x D matrix, 0 where a term is absent and on
-the diagonal, whose rows are summed: the same sums, bit for bit, as
+``_pair_table``: one arctan for Theta and one Theta'_n(x) = -2a / (a*a
++ x*x) per pair, at a = parameter * c with a*a and -2a from one
+per-spec cache (``_constants``). The transpose (j, i) of every term is
+present too, with parameter mirror * parameter, mirror = +-1. Theta is
+odd in x and in its parameter and Theta' is even in x, so the mirror
+entries are exactly -mirror * Theta and mirror * Theta' of the pair.
+Both entries go into a full D x D matrix, 0 where a term is absent and
+on the diagonal, whose rows are summed: the same sums, bit for bit, as
 computing every entry on its own. The constant terms 2 pi I etc. come
 from ``_rhs``.
 
@@ -67,10 +67,10 @@ _MAX_STEPS = 200
 _MAX_HALVINGS = 30
 
 # Float errors of the Newton iterates, each with a harmless limit: an
-# overflowing ratio saturates theta and zeroes theta_prime, inf - inf on a
+# overflowing ratio saturates Theta and zeroes Theta', inf - inf on a
 # diverging iterate gives a NaN that fails the line search, and at the
 # strong-coupling seed of c below about 1e-162 (root spacing of order c)
-# (x_i - x_j)**2 + (p*c)**2 underflows to 0, so theta_prime is -inf and the
+# (x_i - x_j)**2 + (p*c)**2 underflows to 0, so Theta' is -inf and the
 # line search rejects the NaN step before the coupling ladder takes over.
 _QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
@@ -179,32 +179,6 @@ _SIGNS = {case: {k: (p > 0) - (p < 0) if p else 0 for k, p in cpl.items()}
           for case, cpl in _COUPLINGS.items()}
 
 
-def theta(n_par: float, x, c: float):
-    """Scattering phase Theta_n(x) = -2*arctan(x/(n*c)); odd in x.
-
-    Saturating and harmless for arbitrarily large |x| (diverging Newton
-    iterates pass through its kernel), so float warnings are suppressed:
-    an overflowing ratio gives arctan(+-inf) = +-pi/2, the exact limit.
-    """
-    a = n_par * c
-    with np.errstate(over="ignore", invalid="ignore"):
-        return -2.0 * np.arctan(np.asarray(x, dtype=float) / a)
-
-
-def theta_prime(n_par: float, x, c: float):
-    """d/dx Theta_n(x) = -2*n*c / ((n*c)**2 + x**2).
-
-    x*x may overflow to inf on diverging iterates, where the limit 0 is
-    returned. Where both (n*c)**2 and x*x underflow to 0 (n*c below about
-    1e-162) the value is -inf, as in the Newton kernel
-    (``_jacobian``); both float warnings are suppressed.
-    """
-    a = n_par * c
-    x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore", divide="ignore"):
-        return (-2.0 * a) / (a * a + x * x)
-
-
 def _level_sums(spec: MixtureSpec) -> tuple[int, int, int]:
     """Signed term counts (s_k, s_lambda, s_mu) of the three equations:
     each pairwise term adds the sign of its ``_COUPLINGS`` parameter (0
@@ -288,15 +262,17 @@ def _validate_stack(spec: MixtureSpec,
 @functools.lru_cache(maxsize=8)
 def _pair_table(case: str, n: int, m: int,
                 mp: int) -> tuple[np.ndarray, ...]:
-    """Read-only (i, j, par, mirror, ij, ji) of the coupled pairs i < j of
-    the stacked roots x = (k, lambda, mu).
+    """Read-only (i, j, par, mirror, ij, ji, outer, diag) of the coupled
+    pairs i < j of the stacked roots x = (k, lambda, mu).
 
     par is the ``_COUPLINGS`` parameter of Theta_par(x_i - x_j) in row
     i's equation. Every term's transpose is present too, with parameter
-    mirror*par (mirror = +-1): its theta_prime is mirror times that of
-    (i, j), since theta_prime is even in x, and its Theta is -mirror
-    times, since Theta is odd in x and in its parameter. ij and ji index
-    the entries (i, j) and (j, i) of a row-major D x D matrix.
+    mirror*par (mirror = +-1): its Theta' is mirror times that of (i, j),
+    since Theta' is even in x, and its Theta is -mirror times, since
+    Theta is odd in x and in its parameter. ij and ji index the entries
+    (i, j) and (j, i) of a row-major D x D matrix. outer indexes the k
+    and mu roots in x, and diag their diagonal entries of that matrix
+    (the blocks that :func:`_steps` eliminates).
     """
     cpl = _COUPLINGS[case]
     block = np.array([[cpl.get(a + b) for b in "klm"] for a in "klm"],
@@ -309,7 +285,8 @@ def _pair_table(case: str, n: int, m: int,
     keep = ~np.isnan(par)
     i, j, par = i[keep], j[keep], par[keep]
     mirror = block[family[j], family[i]] / par
-    table = (i, j, par, mirror, i * d + j, j * d + i)
+    outer = np.r_[0:n, n + m:d]
+    table = (i, j, par, mirror, i * d + j, j * d + i, outer, outer * (d + 1))
     for arr in table:
         arr.setflags(write=False)
     return table
@@ -318,11 +295,11 @@ def _pair_table(case: str, n: int, m: int,
 @functools.lru_cache(maxsize=8)
 def _constants(spec: MixtureSpec) -> tuple[np.ndarray, ...]:
     """Read-only (i, j, ij, ji, a, a*a, -2a, -mirror, mirror) of a spec:
-    the pairs of :func:`_pair_table`, the constants of theta and
-    theta_prime at a = par*c and the signs of their mirror entries,
-    shared by every stack of the spec."""
-    i, j, par, mirror, ij, ji = _pair_table(spec.case, spec.n, spec.m,
-                                            spec.mp)
+    the pairs of :func:`_pair_table`, the constants of Theta and Theta' at
+    a = par*c and the signs of their mirror entries, shared by every stack
+    of the spec."""
+    i, j, par, mirror, ij, ji, _, _ = _pair_table(spec.case, spec.n,
+                                                  spec.m, spec.mp)
     a = par * spec.c
     consts = (a, a * a, -2.0 * a, -mirror)
     for arr in consts:
@@ -393,9 +370,9 @@ def jacobian(spec: MixtureSpec, qn: QuantumNumberConfig | np.ndarray,
              roots: RootSet | np.ndarray) -> np.ndarray:
     """Analytic Jacobian of :func:`residual` w.r.t. (k, lambda, mu).
 
-    Off-diagonal entries are +theta_prime of the corresponding pair;
-    each diagonal entry carries the box term (k rows only) minus the sum
-    of its row's theta_prime couplings. Self-pair terms vanish exactly
+    Off-diagonal entries are +Theta' of the corresponding pair; each
+    diagonal entry carries the box term (k rows only) minus the sum of
+    its row's Theta' couplings. Self-pair terms vanish exactly
     (the l = j summand is the constant Theta(0)), so an isolated free
     particle has Jacobian [L]. The quantum numbers enter only the
     constant terms, so ``qn`` is ignored. Shape (D, D) for one
@@ -411,14 +388,11 @@ def default_initial_guess(spec: MixtureSpec,
                           qn: QuantumNumberConfig) -> RootSet:
     """Strong-coupling seed: k from the asymptotic lattice, auxiliaries
     spread uniformly across the interior of the k window."""
-    n, m, mp = spec.n, spec.m, spec.mp
-    denom = spec.L * (1.0 + 2.0 * n / (spec.c * spec.L))
+    denom = spec.L * (1.0 + 2.0 * spec.n / (spec.c * spec.L))
     k0 = np.pi * np.asarray(qn.two_i, dtype=float) / denom
-    lo = k0.min() if n else 0.0
-    hi = k0.max() if n else 0.0
-    lam0 = np.linspace(lo, hi, m + 2)[1:-1] if m else np.zeros(0)
-    mu0 = np.linspace(lo, hi, mp + 2)[1:-1] if mp else np.zeros(0)
-    return RootSet(k=k0, lam=lam0, mu=mu0)
+    lo, hi = k0.min(), k0.max()
+    return RootSet(k=k0, lam=np.linspace(lo, hi, spec.m + 2)[1:-1],
+                   mu=np.linspace(lo, hi, spec.mp + 2)[1:-1])
 
 
 def _stack(roots: RootSet) -> np.ndarray:
@@ -469,17 +443,6 @@ def _solve(a: np.ndarray, b: np.ndarray
 _SCHUR_MIN_D = 48
 
 
-@functools.lru_cache(maxsize=8)
-def _outer(n: int, m: int, mp: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only indices of the k and mu roots in x = (k, lambda, mu),
-    and the flat indices of their diagonal entries of the D x D Jacobian."""
-    outer = np.r_[0:n, n + m:n + m + mp]
-    diag = outer * (n + m + mp + 1)
-    outer.setflags(write=False)
-    diag.setflags(write=False)
-    return outer, diag
-
-
 def _steps(spec: MixtureSpec, jac: np.ndarray, r: np.ndarray
            ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Newton steps -J^-1 r of a stack, and the mask of singular members
@@ -497,7 +460,7 @@ def _steps(spec: MixtureSpec, jac: np.ndarray, r: np.ndarray
     cpl = _COUPLINGS[spec.case]
     if cpl["kk"] or cpl["mm"] or r.shape[1] < _SCHUR_MIN_D:
         return _solve(jac, -r)
-    outer, diag = _outer(spec.n, spec.m, spec.mp)
+    *_, outer, diag = _pair_table(spec.case, spec.n, spec.m, spec.mp)
     lam = slice(spec.n, spec.n + spec.m)
     d = jac.reshape(len(r), -1)[:, diag]
     j_ol = jac[:, outer, lam]
@@ -623,11 +586,13 @@ def _ladder(spec: MixtureSpec, qns: Sequence[QuantumNumberConfig]
     Re-solves at coupling 100 from the strong-coupling seed, then steps
     down by factors of 0.8 to ``spec.c``, re-using each member's roots
     between stages (for c >= 100 the ladder is the single stage
-    100 -> c). Returns, per configuration, its roots at ``spec.c``, or
+    100 -> c). It steps only while the factor still lowers the coupling,
+    which it stops doing at 1e-323, two ulps above the smallest
+    subnormal. Returns, per configuration, its roots at ``spec.c``, or
     None when it failed a stage.
     """
     c_path = [100.0]
-    while c_path[-1] * 0.8 > spec.c:
+    while spec.c < c_path[-1] * 0.8 < c_path[-1]:
         c_path.append(c_path[-1] * 0.8)
     c_path.append(spec.c)
     roots = {i: _stack(default_initial_guess(spec.replace_c(c_path[0]), qn))

@@ -27,6 +27,7 @@ which is why population scans prefer it.)
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional
@@ -67,8 +68,11 @@ def _offset_runs(count: int, parity: int) -> list[tuple[int, ...]]:
 
 
 def _two(value: float, name: str) -> int:
-    doubled = round(2.0 * float(value))
-    if abs(2.0 * float(value) - doubled) > 1e-9:
+    twice = 2.0 * float(value)
+    if not math.isfinite(twice):
+        raise InvalidConfig(f"{name} must be finite, got {value}")
+    doubled = round(twice)
+    if abs(twice - doubled) > 1e-9:
         raise InvalidConfig(f"{name} must be integer or half-odd, got {value}")
     return int(doubled)
 

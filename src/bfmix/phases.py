@@ -229,7 +229,13 @@ def _regime_table(regime: str, n: int, L: float, c: float = 1.0
         raise InvalidConfig(f"box length must be finite and positive, got {L}")
     excluded: tuple = ()
     if regime in ("weak", "strong"):
-        u = (2.0 * np.pi / L) ** 2
+        try:
+            u = (2.0 * np.pi / L) ** 2
+        except OverflowError:
+            u = np.inf
+        if u == np.inf:
+            raise InvalidConfig(f"box length {L} too small: the level "
+                                f"spacing (2 pi / L)^2 overflows")
         comps = [pops for _, pops in candidate_compositions(n)]
         if regime == "weak":
             energies = [u * (free_sea_energy(up) + free_sea_energy(dn))

@@ -18,8 +18,8 @@ from bfmix import bae
 from bfmix.bae import (_COUPLINGS, InvalidConfig, MixtureSpec,
                        NonConvergence, QuantumNumberConfig, RootSet,
                        _finalize, default_initial_guess, energy_momentum,
-                       jacobian, required_parities, residual, solve, theta,
-                       theta_prime, validate)
+                       jacobian, required_parities, residual, solve,
+                       validate)
 from bfmix.excitations import (_offset_runs, _parity_values,
                                 ground_state_numbers, particle_hole_numbers)
 
@@ -28,40 +28,6 @@ ALL_CASES = ("bff", "fbf", "ffb")
 
 def _all_boson(case: str, n: int, L: float, c: float) -> MixtureSpec:
     return MixtureSpec.from_populations(case, (n, 0, 0), L, c)
-
-
-# ---------------------------------------------------------------- theta
-
-def test_theta_frozen_value_and_oddness():
-    assert float(theta(1.0, 3.0, 2.0)) == pytest.approx(
-        -1.965587446494658, abs=1e-14)
-    x = np.linspace(-7, 7, 31)
-    assert np.allclose(theta(0.5, x, 1.3), -theta(0.5, -x, 1.3))
-    assert float(theta(2.0, 0.0, 5.0)) == 0.0
-    # saturation: +-pi at large argument, no warnings raised
-    assert float(theta(1.0, 1e300, 1.0)) == pytest.approx(-np.pi)
-
-
-def test_theta_prime_matches_finite_difference():
-    h = 1e-6
-    for n_par, x, c in ((1.0, 0.7, 1.0), (0.5, -2.1, 3.0), (2.0, 0.0, 0.2)):
-        fd = (theta(n_par, x + h, c) - theta(n_par, x - h, c)) / (2 * h)
-        assert float(theta_prime(n_par, x, c)) == pytest.approx(
-            float(fd), rel=1e-8, abs=1e-9)
-
-
-def test_theta_prime_at_underflowing_coupling_is_quiet():
-    # (n c)^2 and x^2 both underflow to 0: -inf, as in the Newton kernel,
-    # without a divide-by-zero warning
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert float(theta_prime(1.0, 0.0, 1e-170)) == -np.inf
-    # unchanged bits at ordinary couplings
-    x = np.linspace(-5.0, 5.0, 41)
-    for n_par, c in ((0.5, 0.3), (1.0, 1.0), (2.0, 1e3)):
-        a = n_par * c
-        assert np.array_equal(theta_prime(n_par, x, c),
-                              (-2.0 * a) / (a * a + x * x))
 
 
 # ----------------------------------------------------- spec validation
@@ -411,13 +377,15 @@ def _full_matrix_kernel(spec, rhs, x):
 @pytest.mark.parametrize("case", ALL_CASES)
 def test_pair_kernel_matches_full_matrix_sums(case):
     # each pair is computed once and mirrored, yet every row sums the same
-    # full row of terms: bit for bit, on finite, escaped and coincident
-    # roots
+    # full row of terms: bit for bit, on finite, escaped, overflowing and
+    # coincident roots, and at a coupling whose square underflows (Theta'
+    # of coincident roots is then -inf)
     rng = np.random.default_rng(3)
-    for n, m, mp in ((1, 0, 0), (3, 2, 1), (9, 6, 4), (20, 19, 18)):
-        spec = MixtureSpec(case, n, m, mp, float(n), 0.7)
+    for n, m, mp, c in ((1, 0, 0, 0.7), (3, 2, 1, 0.7), (9, 6, 4, 0.7),
+                        (20, 19, 18, 0.7), (3, 2, 1, 1e-170)):
+        spec = MixtureSpec(case, n, m, mp, float(n), c)
         x = rng.normal(scale=2.0, size=(5, n + m + mp))
-        x[1, 0], x[2, -1], x[3] = np.inf, -np.inf, x[3, 0]
+        x[1, 0], x[2, -1], x[3], x[4, 0] = np.inf, -np.inf, x[3, 0], 1e308
         rhs = rng.normal(size=x.shape)
         with np.errstate(**bae._QUIET):
             want_r, want_j = _full_matrix_kernel(spec, rhs, x)
@@ -658,6 +626,23 @@ def test_ladder_runs_downward_from_100(monkeypatch, c, ladder):
     assert np.abs(residual(spec, qn, roots)).max() < 1e-10
     assert couplings[0] == c
     assert couplings[1:] == pytest.approx(ladder, rel=1e-15)
+
+
+def test_ladder_to_smallest_subnormal_ends(monkeypatch):
+    # 0.8 * 1e-323 rounds back to 1e-323, so a descent by 0.8 towards
+    # 5e-324 must stop there instead of repeating that stage forever
+    couplings = []
+
+    def converged(spec, qns, x0):
+        couplings.append(spec.c)
+        return list(x0)
+
+    monkeypatch.setattr(bae, "_newton", converged)
+    spec = _all_boson("bff", 3, 3.0, 5e-324)
+    assert bae._ladder(spec, [ground_state_numbers(spec)])[0] is not None
+    assert couplings[0] == 100.0 and couplings[-2:] == [1e-323, 5e-324]
+    assert all(a > b for a, b in zip(couplings, couplings[1:]))
+    assert len(couplings) < 3400
 
 
 def _mixed_stack(spec):

@@ -125,14 +125,55 @@ def test_ground_without_out_prints_to_stdout(capsys):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_ground_at_underflowing_coupling_emits_no_warning(tmp_path):
     # the strong-coupling seed spaces the roots by about c, so at
-    # c = 1e-170 both (k_i - k_j)**2 and c**2 underflow to 0 in
-    # theta_prime; the direct run fails without a warning and the
+    # c = 1e-170 both (k_i - k_j)**2 and c**2 underflow to 0 in the
+    # Jacobian's Theta'; the direct run fails without a warning and the
     # coupling ladder converges
     out = tmp_path / "ground.csv"
     rc = main(["ground", "--case", "bff", "--n", "3", "--m", "0", "--mp",
                "0", "--l", "3", "--c", "1e-170", "--out", str(out)])
     assert rc == EXIT_OK
     assert out.read_text().startswith("kind,index,value")
+
+
+# The smallest invocation of each command that reads a box length,
+# coupling or density, with the flags that an extreme value replaces.
+_EXTREME_RUNS = {
+    "ground": (["ground", "--case", "bff", "--n", "3", "--l", "3", "--c",
+                "1"], ("--l", "--c")),
+    "excite-bff": (["excite", "--case", "bff", "--n", "3", "--l", "3", "--c",
+                    "1", "--family", "all"], ("--l", "--c")),
+    "excite-ffb": (["excite", "--case", "ffb", "--n", "3", "--l", "3", "--c",
+                    "1", "--family", "all"], ("--c",)),
+    "excite-fbf": (["excite", "--case", "fbf", "--n", "3", "--l", "3", "--c",
+                    "1", "--family", "all"], ("--c",)),
+    "density": (["density", "--case", "bff", "--n", "3", "--l", "3", "--c",
+                 "1"], ("--l", "--c")),
+    "thermo": (["thermo", "--density", "1", "--c", "1", "--xi-points", "5"],
+               ("--density", "--c")),
+    "phase-weak": (["phase", "--regime", "weak", "--n", "3", "--l", "3",
+                    "--ratio", "0,1", "--h", "0"], ("--l",)),
+    "phase-strong": (["phase", "--regime", "strong", "--n", "3", "--l", "3",
+                      "--ratio", "0,1", "--h", "0"], ("--l",)),
+    "phase-general": (["phase", "--regime", "general", "--n", "3", "--l",
+                       "3", "--c", "1", "--ratio", "0,1", "--h", "0"],
+                      ("--l", "--c")),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", ["5e-324", "1e-300", "1e300"])
+@pytest.mark.parametrize("run", sorted(_EXTREME_RUNS))
+def test_extreme_inputs_end_in_an_exit_code(tmp_path, run, value):
+    # a box length, coupling or density at the ends of the float range
+    # gives a result, a usage error or a numerical failure: no traceback,
+    # no float warning and no endless coupling ladder
+    argv, flags = _EXTREME_RUNS[run]
+    for flag in flags:
+        args = list(argv)
+        args[args.index(flag) + 1] = value
+        out = tmp_path / f"{flag[2:]}.csv"
+        assert main(args + ["--out", str(out)]) in (
+            EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL)
 
 
 def test_ybe_check_passes_at_default_tolerance(tmp_path):
@@ -429,6 +470,9 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
         for bad_n in ("0", "-3", "1001"):  # 1 <= n <= MAX_PARTICLES
             assert main(["phase", "--regime", regime, "--n", bad_n, "--l",
                          "3", "--ratio", "0", "--h", "0"]) == EXIT_USAGE
+    for regime in ("weak", "strong"):  # (2 pi / L)^2 would overflow
+        assert main(["phase", "--regime", regime, "--l", "1e-160"]
+                    + grid) == EXIT_USAGE
     with monkeypatch.context() as m:  # the same cap, before any solve
         for name in ("solve", "solve_many"):
             m.setattr(excitations, name,

@@ -85,6 +85,9 @@ def test_particle_hole_numbers():
         particle_hole_numbers(spec, 2, 2.0)     # inside the sequence
     with pytest.raises(InvalidConfig):
         particle_hole_numbers(spec, 5, 2.0)     # collides after removal
+    for bad in (float("inf"), -float("inf"), float("nan")):
+        with pytest.raises(InvalidConfig, match="particle_number"):
+            particle_hole_numbers(spec, 2, bad)
 
 
 def test_add_fermion_numbers_structure():
@@ -116,6 +119,11 @@ def test_add_fermion_numbers_structure():
         add_fermion_numbers(spec, (n - 1) / 2)  # |J1| >= (N-1)/2
     with pytest.raises(InvalidConfig):
         add_fermion_numbers(spec, 0.5, i_hole=0.75)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(InvalidConfig, match="J1"):
+            add_fermion_numbers(spec, bad)
+        with pytest.raises(InvalidConfig, match="i_hole"):
+            add_fermion_numbers(spec, 0.5, i_hole=bad)
     with pytest.raises(InvalidConfig):
         add_fermion_numbers(_gs_spec("bff", n, float(n), 1.0), 0.5)
 
@@ -134,6 +142,9 @@ def test_two_fermion_numbers():
         two_fermion_numbers(spec, 1.5, -0.5)    # disordered
     with pytest.raises(InvalidConfig):
         two_fermion_numbers(spec, -0.5, 2.5)    # out of window
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(InvalidConfig, match="J2"):
+            two_fermion_numbers(spec, -0.5, bad)
     with pytest.raises(InvalidConfig):
         two_fermion_numbers(MixtureSpec("ffb", 4, 2, 0, 4.0, 1.0), -0.5, 0.5)
 
