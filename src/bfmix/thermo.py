@@ -27,14 +27,16 @@ K2(k - k') + K2(k + k') and each positive node carrying its mirror's
 weight; the converged profile is mirrored back onto the full grid. The
 rule comes from Newton's method on the Legendre recurrence, O(n^2)
 operations, and is computed once per node count and cached. At each
-node count k_F is found by a safeguarded Brent search on the density
-constraint, started from a narrow bracket around the previous level's
-k_F and falling back to the full bracket when that misses the root.
+node count k_F is found by a safeguarded Newton search on the density
+constraint, started from the previous level's k_F. Its slope comes from
+the identity dn/dk_F = 2 rho(k_F) Z(k_F) = 4 pi rho(k_F)^2, with the
+dressed charge Z = 2 pi rho (Korepin, Bogoliubov & Izergin, CUP 1993;
+Lieb & Liniger, Phys. Rev. 130, 1605, 1963); the search's last probe is
+the level's solution.
 """
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +44,6 @@ import numpy as np
 from .bae import NonConvergence
 
 _KF_TOL = 1e-12
-_WARM_WIDTH = 1e-6  # relative half-width of the warm-start k_F bracket
 _EPS = float(np.finfo(float).eps)
 _ENERGY_TOL = 1e-8
 
@@ -176,81 +177,56 @@ def _kf_bracket(density: float, c: float) -> float:
 
 
 def _bisect_kf(density: float, c: float, nodes: int,
-               guess: float | None = None) -> tuple[float, bool]:
-    """(k_F, bracketed) with integrated density = target, at fixed
-    resolution.
+               guess: float | None = None
+               ) -> tuple[float, bool, tuple[np.ndarray, ...]]:
+    """(k_F, bracketed, probe) with integrated density = target, at fixed
+    resolution; probe is the :func:`_nystroem` result at that k_F.
 
-    Named for the bisection it replaced: this is a Brent-Dekker search
-    (Brent 1973, ch. 4) on filled(k_F) - n. It takes secant or
-    inverse-quadratic steps, written in ratios of residuals so that
-    nothing underflows at tiny densities, and bisects whenever a step
-    leaves the bracket or the bracket has not halved within two steps.
-    It stops once the bracket is narrower than ``_KF_TOL`` times its
-    full top, a relative tolerance at every density.
-
-    ``guess`` (k_F of the previous node level) is tried first inside
-    guess * (1 -/+ ``_WARM_WIDTH``). If that does not straddle the root,
-    the search falls back to the full bracket [0, _kf_bracket]; filled(0)
-    = 0, so its lower end costs no probe.
+    Named for the bisection it replaced: this is Newton's method on
+    filled(k_F) - n with the slope dn/dk_F = 2 rho(k_F) Z(k_F) =
+    4 pi rho(k_F)^2, since the dressed charge of the Lieb-Liniger
+    equation is Z = 2 pi rho (Korepin, Bogoliubov & Izergin, Quantum
+    Inverse Scattering Method and Correlation Functions, CUP 1993).
+    rho(k_F) is the Nystroem interpolant of the probe, one kernel row.
+    Each probe narrows the bracket [0, _kf_bracket] by the sign of its
+    excess. A step that would leave the bracket, or that is more than
+    half the step before it, bisects the bracket instead (the safeguard
+    of rtsafe, Press et al., Numerical Recipes, sec. 9.4), so the search
+    ends even where the interpolant slope is far off, as it is at levels
+    too coarse for the kernel. Newton starts from ``guess`` (k_F of the
+    previous node level), else from the bracket top, and stops once a
+    Newton step is below ``_KF_TOL`` times the top, a relative tolerance
+    at every density. That step is off from the true error by the ratio
+    of the true slope to 4 pi rho(k_F)^2, 1 to about 1e-10 at a resolved
+    level. bracketed says that a probe reached the target density or
+    that the last Newton step stays below the bracket top.
 
     When the resolution is too coarse for the kernel the integrated
-    density at the full bracket top can fall short; that is reported as
+    density at the bracket top can fall short; that is reported as
     bracketed=False and left to the caller's node-doubling loop rather
     than guessed at. So is a NaN density there: below c of about 1e-308
-    the kernel peak overflows and every probe's density is NaN.
+    the kernel peak overflows and every probe's density is NaN. Either
+    way a search from the top ends after its first probe.
     """
-    top = _kf_bracket(density, c)
-    tol = _KF_TOL * top
-
-    def excess(k_f):
-        _, wk, rho, _ = _nystroem(k_f, c, nodes)
-        return float(wk @ rho) - density
-
-    a, fa, b, fb = 0.0, -density, None, None
-    if guess is not None:
-        lo, hi = guess * (1.0 - _WARM_WIDTH), guess * (1.0 + _WARM_WIDTH)
-        f_lo, f_hi = excess(lo), excess(hi)
-        if f_lo < 0.0 <= f_hi:
-            a, fa, b, fb = lo, f_lo, hi, f_hi
-    if b is None:
-        b, fb = top, excess(top)
-        if not fb >= 0.0:
-            return float(top), False
-    # Brent's zeroin: b is the best estimate, a the previous one, and the
-    # root lies between b and the contrapoint cp.
-    cp, f_cp = a, fa
-    step = last_step = b - a
+    top = float(_kf_bracket(density, c))
+    lo, hi, found, step = 0.0, top, False, np.inf
+    k_f = top if guess is None else guess
     while True:
-        if (fb < 0.0) == (f_cp < 0.0):
-            cp, f_cp = a, fa
-            step = last_step = b - a
-        if abs(f_cp) < abs(fb):
-            a, fa, b, fb, cp, f_cp = b, fb, cp, f_cp, b, fb
-        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
-        half = 0.5 * (cp - b)
-        if abs(half) <= tol1 or fb == 0.0:
-            return float(b), True
-        if abs(last_step) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == cp:  # secant through a and b: b + (b - a) fb / (fa - fb)
-                p, q = 2.0 * half * s, 1.0 - s
-            else:  # inverse quadratic through a, b and cp
-                q, r = fa / f_cp, fb / f_cp
-                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * half * q - abs(tol1 * q),
-                             abs(last_step * q)):
-                last_step, step = step, p / q
-            else:
-                last_step = step = half
-        else:
-            last_step = step = half
-        a, fa = b, fb
-        b += step if abs(step) > tol1 else math.copysign(tol1, half)
-        fb = excess(b)
+        probe = k, wk, rho, _ = _nystroem(k_f, c, nodes)
+        excess = float(wk @ rho) - density
+        found |= excess >= 0.0
+        lo, hi = (lo, k_f) if excess >= 0.0 else (k_f, hi)
+        edge = 1.0 / (2.0 * np.pi) + 0.5 * float(
+            (kernel(2.0, k_f - k, c) + kernel(2.0, k_f + k, c)) @ (wk * rho))
+        last, step = step, excess / (4.0 * np.pi * edge * edge)
+        nxt = k_f - step
+        if abs(step) <= _KF_TOL * top:
+            return k_f, found or nxt < top, probe
+        if not lo < nxt < hi or abs(step) > 0.5 * abs(last):
+            nxt = 0.5 * (lo + hi)
+            if nxt == k_f:
+                return k_f, found, probe
+        k_f, step = nxt, k_f - nxt
 
 
 def solve_ground_density(density: float, c: float, *,
@@ -264,8 +240,10 @@ def solve_ground_density(density: float, c: float, *,
     the last relative change between two levels that bracketed k_F as
     its best residual (NaN when fewer than two did). When no level
     brackets k_F at all (the kernel is far narrower than the node
-    spacing), the NonConvergence says so. Each level's
-    k_F search starts from the previous level's k_F. Raises ValueError
+    spacing), the NonConvergence says so. Each level's Newton search for
+    k_F (:func:`_bisect_kf`) starts from the previous level's k_F, and its
+    last probe, taken at the k_F it returns, is that level's profile; no
+    level is solved again at its root. Raises ValueError
     up front when the energy density could overflow: it is at most the
     impenetrable limit pi^2 n^3 / 3.
     """
@@ -284,13 +262,12 @@ def solve_ground_density(density: float, c: float, *,
     change = float("nan")
     bracketed_any = False
     while nodes <= max_nodes:
-        k_f, bracketed = _bisect_kf(density, c, nodes, k_f)
+        k_f, bracketed, (k, wk, rho, a) = _bisect_kf(density, c, nodes, k_f)
         if not bracketed:
             prev_e = k_f = None  # resolution insufficient; never accept this
             nodes *= 2
             continue
         bracketed_any = True
-        k, wk, rho, a = _nystroem(k_f, c, nodes)
         e = float(wk @ (k * k * rho))
         scale = max(abs(e), 1e-30)
         if prev_e is not None and abs(e - prev_e) <= _ENERGY_TOL * scale:

@@ -142,7 +142,8 @@ def test_tiny_density_fills_impenetrable_edge():
 
 
 def test_kf_search_probe_budget(monkeypatch):
-    # two node levels; the second starts from the first level's k_F
+    # two node levels; the second starts from the first level's k_F, and
+    # each level's last probe is its profile, not solved again at the root
     probes = []
     nystroem = thermo._nystroem
 
@@ -153,7 +154,57 @@ def test_kf_search_probe_budget(monkeypatch):
     monkeypatch.setattr(thermo, "_nystroem", counted)
     prof = solve_ground_density(1.0, 10.0)
     assert prof.nodes == 400
-    assert len(probes) <= 24
+    assert len(probes) <= 8
+    assert probes[-1] == (prof.k_f, 10.0, 400)
+
+
+@pytest.mark.parametrize("c", [0.1, 1.0, 10.0, 1e5])
+def test_kf_slope_is_four_pi_edge_density_squared(c, monkeypatch):
+    # dn/dk_F = 2 rho(k_F) Z(k_F) with the dressed charge Z = 2 pi rho is
+    # the slope of the Newton search: its first step from just above the
+    # root, excess / slope, must match a central difference of the rule's
+    # sum there
+    nystroem = thermo._nystroem
+    x0 = solve_ground_density(1.0, c).k_f * (1.0 + 1e-4)
+
+    def filled(x):
+        _, wk, rho, _ = nystroem(x, c, 400)
+        return float(wk @ rho)
+
+    probes = []
+
+    def recorded(k_f, c, nodes):
+        probes.append(k_f)
+        return nystroem(k_f, c, nodes)
+
+    monkeypatch.setattr(thermo, "_nystroem", recorded)
+    thermo._bisect_kf(1.0, c, 400, x0)
+    assert probes[0] == x0
+    h = 1e-6 * x0
+    slope = (filled(x0 + h) - filled(x0 - h)) / (2.0 * h)
+    assert (filled(x0) - 1.0) / (x0 - probes[1]) == pytest.approx(
+        slope, rel=1e-8, abs=0)
+
+
+def test_kf_search_probe_cap(monkeypatch):
+    # at 200 nodes and weak coupling the interpolant slope is far off
+    # (30 % to over 16x); the search bisects whenever a Newton step is
+    # not at most half the one before, so at every coupling it ends
+    # within about two probes per halving of the bracket down to _KF_TOL
+    probes = []
+    nystroem = thermo._nystroem
+
+    def counted(*args):
+        probes.append(args)
+        if len(probes) > 1000:
+            raise RuntimeError("k_F search does not terminate")
+        return nystroem(*args)
+
+    monkeypatch.setattr(thermo, "_nystroem", counted)
+    for c in np.logspace(-5, 2, 36):
+        probes.clear()
+        thermo._bisect_kf(1.0, c, 200)
+        assert len(probes) <= 2.0 * np.log2(1.0 / thermo._KF_TOL)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 101, 400, 1600])
@@ -203,7 +254,7 @@ def test_gauss_legendre_rule_is_cached_read_only():
         w[0] = 0.0
 
 
-@pytest.mark.parametrize("c", [0.5, 1.0, 10.0, 1e5])
+@pytest.mark.parametrize("c", [0.1, 0.5, 1.0, 10.0, 1e5])
 def test_kf_matches_plain_bisection(c):
     prof = solve_ground_density(1.0, c)
 
@@ -219,6 +270,28 @@ def test_kf_matches_plain_bisection(c):
         else:
             hi = mid
     assert prof.k_f == pytest.approx(0.5 * (lo + hi), rel=1e-11)
+
+
+def test_kf_search_on_under_resolved_level():
+    # at c = 1e-3 the 200-node level is too coarse for the kernel, so the
+    # slope 4 pi rho^2 is off by about 30 % and Newton leans on its
+    # bracket; it still finds the level's own root from the bracket top
+    c, nodes = 1e-3, 200
+    k_f, bracketed, _ = thermo._bisect_kf(1.0, c, nodes)
+    assert bracketed
+
+    def filled(x):
+        _, wk, rho, _ = thermo._nystroem(x, c, nodes)
+        return float(wk @ rho)
+
+    lo, hi = 0.0, thermo._kf_bracket(1.0, c)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if filled(mid) < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    assert k_f == pytest.approx(0.5 * (lo + hi), rel=1e-11, abs=0)
 
 
 def test_profile_symmetry_and_positivity(prof_c1):
@@ -306,7 +379,7 @@ def test_no_bracketing_level_is_reported():
 def test_overflowing_kernel_peak_is_no_bracket(monkeypatch):
     # below c of about 1e-308 the kernel peak 1/(pi c) overflows and every
     # probe's density is NaN; a NaN excess at the bracket top is no
-    # bracket, so each node level costs one probe instead of a Brent
+    # bracket, so each node level costs one probe instead of a Newton
     # search on NaN
     levels = []
     nystroem = thermo._nystroem
