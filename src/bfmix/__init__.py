@@ -7,7 +7,7 @@ ground-state phase diagrams, with a reproducible CLI (``bfmix``).
 from .algebra import CASES, GRADINGS, permutation_matrix, r_matrix, \
     ybe_residual
 from .bae import (InvalidConfig, MixtureSpec, NonConvergence, Observables,
-                  QuantumNumberConfig, RootSet, energy_momentum,
+                  QuantumNumberConfig, RootSet, energy_momentum, momentum,
                   required_parities, residual, jacobian, solve, solve_many,
                   validate)
 from .excitations import (AddOneFermion, DispersionPoint, GroundState,

@@ -400,11 +400,6 @@ def _stack(roots: RootSet) -> np.ndarray:
     return np.concatenate([roots.k, roots.lam, roots.mu], dtype=float)
 
 
-def _split(spec: MixtureSpec, x: np.ndarray) -> RootSet:
-    n, m = spec.n, spec.m
-    return RootSet(k=x[:n], lam=x[n:n + m], mu=x[n + m:])
-
-
 def _norms(r: np.ndarray) -> np.ndarray:
     """Residual 2-norm of each row, bit for bit np.linalg.norm of it (a
     dot product per row). On runaway iterates it overflows to inf, which
@@ -637,7 +632,8 @@ def solve_many(spec: MixtureSpec, qns: Sequence[QuantumNumberConfig],
     done = [i for i, res in enumerate(results)
             if not isinstance(res, NonConvergence)]
     if done:
-        finalized = _finalize(spec, np.array([results[i] for i in done]))
+        finalized = _finalize(spec, [qns[i] for i in done],
+                              np.array([results[i] for i in done]))
         for i, res in zip(done, finalized):
             results[i] = res
     return results
@@ -665,10 +661,10 @@ def solve(spec: MixtureSpec, qn: QuantumNumberConfig,
     return result
 
 
-def _finalize(spec: MixtureSpec,
+def _finalize(spec: MixtureSpec, qns: Sequence[QuantumNumberConfig],
               x: np.ndarray) -> list[RootSet | NonConvergence]:
     """Sorted roots of each converged iterate of a stack (B, D), or a
-    NonConvergence where a root escaped to infinity.
+    NonConvergence with its residual max-norm where a root escaped.
 
     The residual of a scattering phase flattens once its argument is
     many orders of magnitude beyond c, so Newton can satisfy the
@@ -678,26 +674,34 @@ def _finalize(spec: MixtureSpec,
     of magnitude of max(1, c).
     """
     worst = np.abs(x).max(axis=1)
+    escaped = np.flatnonzero(worst > 1e5 * (1.0 + spec.c))
     n, m = spec.n, spec.m
     k, lam, mu = (np.sort(x[:, :n]), np.sort(x[:, n:n + m]),
                   np.sort(x[:, n + m:]))
-    return [NonConvergence(f"root escaped to {w:.3e} (non-regular "
-                           "solution)", 0.0) if w > 1e5 * (1.0 + spec.c)
-            else RootSet(k=k[b], lam=lam[b], mu=mu[b])
-            for b, w in enumerate(worst.tolist())]
+    results = [RootSet(k=k[b], lam=lam[b], mu=mu[b]) for b in range(len(x))]
+    if escaped.size:
+        with np.errstate(**_QUIET):
+            r = _residual(spec, _rhs([qns[b] for b in escaped]), x[escaped])
+        for b, rmax in zip(escaped, np.abs(r).max(axis=1).tolist()):
+            results[b] = NonConvergence(f"root escaped to {worst[b]:.3e} "
+                                        "(non-regular solution)", rmax)
+    return results
 
 
-def energy_momentum(spec: MixtureSpec, qn: QuantumNumberConfig,
-                    roots: RootSet) -> Observables:
-    """E = sum k_j^2; P = sum k_j = (2 pi/L)(sum I + s_J sum J + s_J' sum J').
-
-    Summing the equations turns each cross sum into -+ the partner's 2 pi J
-    sum: s_J = -sigma(kl) sigma(lk), s_J' = s_J sigma(lm) sigma(ml).
-    """
-    e = float(np.dot(roots.k, roots.k))
+def momentum(spec: MixtureSpec, qn: QuantumNumberConfig) -> float:
+    """P = sum k_j = (2 pi/L)(sum I + s_J sum J + s_J' sum J'), from the
+    quantum numbers alone: summing the equations turns each cross sum
+    into -+ the partner's 2 pi J sum, so s_J = -sigma(kl) sigma(lk) and
+    s_J' = s_J sigma(lm) sigma(ml)."""
     s = _SIGNS[spec.case]
     sj = -s["kl"] * s["lk"]
     sjp = sj * s["lm"] * s["ml"]
     doubled = sum(qn.two_i) + sj * sum(qn.two_j) + sjp * sum(qn.two_jp)
-    p = 2.0 * np.pi / spec.L * (doubled / 2.0)
-    return Observables(E=e, P=p)
+    return 2.0 * np.pi / spec.L * (doubled / 2.0)
+
+
+def energy_momentum(spec: MixtureSpec, qn: QuantumNumberConfig,
+                    roots: RootSet) -> Observables:
+    """E = sum k_j^2 and P = :func:`momentum`."""
+    return Observables(E=float(np.dot(roots.k, roots.k)),
+                       P=momentum(spec, qn))

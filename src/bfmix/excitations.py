@@ -9,13 +9,14 @@ rearranging finitely many quantum numbers:
 * add one fermion: flip one boson into a fermion (population change);
   the charge numbers fill a symmetric (N+1)-slot window minus one hole,
   and one auxiliary quantum number J1 parameterizes the new branch;
-* two fermions: two auxiliary quantum numbers (same species, or one of
-  each with the third-level number forced to zero).
+* two fermions: two auxiliary quantum numbers.
 
-Each generated configuration is parity-valid for its population by
-construction. Sectors are named by populations (N_B, N_up, N_down):
-(N, 0, 0) for the ground state, (N-1, 1, 0) for one fermion. Energies
-are always reported relative to the ordering's all-boson ground state.
+One builder, :func:`_rearrange`, fills each level's window or leaves it
+empty, except one level that takes the free numbers as members or holes;
+:func:`_windows` reads the windows from :func:`bfmix.bae.required_parities`
+and :func:`bfmix.bae.auxiliary_bounds`. Sectors are named by populations
+(N_B, N_up, N_down): (N, 0, 0) for the ground state, (N-1, 1, 0) for one
+fermion. Energies are relative to the ordering's all-boson ground state.
 
 All three orderings describe the same physical states: solved spectra
 agree state by state in (E, P) once the quantum numbers are mapped
@@ -35,8 +36,9 @@ from typing import Optional
 import numpy as np
 
 from .bae import (InvalidConfig, MixtureSpec, NonConvergence, Observables,
-                  QuantumNumberConfig, RootSet, _split, auxiliary_bounds,
-                  energy_momentum, required_parities, solve, solve_many)
+                  QuantumNumberConfig, RootSet, auxiliary_bounds,
+                  energy_momentum, momentum, required_parities, solve,
+                  solve_many)
 
 
 def _sym_run(count: int) -> tuple[int, ...]:
@@ -51,15 +53,11 @@ def _parity_values(lo: int, hi: int, parity: int) -> list[int]:
 
 
 def _offset_runs(count: int, parity: int) -> list[tuple[int, ...]]:
-    """Consecutive runs of given length and parity, near-symmetric.
-
-    All consecutive runs whose center is within one full step of zero:
-    the symmetric run and its whole-step translates when the parity
-    matches, else the half-step translates on either side. The
-    families of a sector minimum need not all be centered (their
-    centers compensate each other's momentum), so a sector scan must
-    enumerate these combinations rather than only the symmetric runs.
-    """
+    """Consecutive runs of given length and parity centered within one
+    full step of zero: the symmetric run and its whole-step translates
+    when the parity matches, else the half-step translates on either
+    side. A sector minimum's families need not all be centered (their
+    centers compensate each other's momentum), so a scan needs these."""
     if count == 0:
         return [()]
     anchor = _sym_run(count)
@@ -83,17 +81,69 @@ def _require_populations(spec: MixtureSpec, want: tuple, sector: str) -> None:
                             f"N_down) = {want}, got {spec.populations()}")
 
 
-def ground_state_numbers(spec: MixtureSpec) -> QuantumNumberConfig:
-    """Symmetric consecutive quantum numbers of the all-boson ground state."""
-    _require_populations(spec, (spec.n, 0, 0), "ground state")
+def _windows(spec: MixtureSpec) -> tuple[tuple[int, ...], ...]:
+    """Doubled slots of the charge, lambda and mu levels: the values of
+    each auxiliary level's parity (:func:`bfmix.bae.required_parities`)
+    with |2J| < B (:func:`bfmix.bae.auxiliary_bounds`), and the symmetric
+    charge run of its parity with N slots, else N + 1."""
     pi_, pj, pjp = required_parities(spec)
-    runs = []
-    for count, parity in ((spec.n, pi_), (spec.m, pj), (spec.mp, pjp)):
-        run = _sym_run(count)
-        if count and (count - 1) % 2 != parity:
-            raise InvalidConfig("no symmetric run with the required parity")
-        runs.append(run)
-    return QuantumNumberConfig(*runs)
+    b_lam, b_mu = auxiliary_bounds(spec)
+    n = spec.n
+    return (_sym_run(n if (n - 1) % 2 == pi_ else n + 1),
+            tuple(_parity_values(1 - b_lam, b_lam - 1, pj)),
+            tuple(_parity_values(1 - b_mu, b_mu - 1, pjp)))
+
+
+def _free_level(spec: MixtureSpec, k: int,
+                windows: tuple[tuple[int, ...], ...]
+                ) -> tuple[Optional[int], tuple[int, ...]]:
+    """Index and window of the level that takes k free numbers: the first
+    auxiliary level with count > 0 whose count is k (they are members)
+    or its window's size less k (they are holes); else (None, ())."""
+    for level, count in ((1, spec.m), (2, spec.mp)):
+        if count and count in (k, len(windows[level]) - k):
+            return level, windows[level]
+    return None, ()
+
+
+def _rearrange(spec: MixtureSpec, free: tuple[int, ...],
+               windows: tuple[tuple[int, ...], ...],
+               two_hole: Optional[int] = None) -> QuantumNumberConfig:
+    """Ground-sector numbers of ``spec`` with one level rearranged.
+
+    The level of :func:`_free_level` takes the ascending doubled numbers
+    ``free`` as members or holes; each other auxiliary level is empty or
+    full. The charge numbers fill their window, less one hole if it has
+    N + 1 slots: ``two_hole``, by default the edge opposite free[0].
+    """
+    level, slots = _free_level(spec, len(free), windows)
+    if not set(free) <= set(slots):
+        raise InvalidConfig(f"no level takes {free} as members or holes")
+    aux = []
+    for lvl, count in ((1, spec.m), (2, spec.mp)):
+        window = windows[lvl]
+        if lvl == level:
+            aux.append(free if count == len(free)
+                       else tuple(v for v in window if v not in free))
+        elif count in (0, len(window)):
+            aux.append(window if count else ())
+        else:
+            raise InvalidConfig(f"{count} auxiliary numbers neither fill "
+                                f"nor leave empty {len(window)} slots")
+    charge = windows[0]
+    if two_hole is None and len(charge) > spec.n and free:
+        two_hole = charge[0] if free[0] >= 0 else charge[-1]
+    two_i = tuple(v for v in charge if v != two_hole)
+    if (two_hole is None) != (len(charge) == spec.n) or len(two_i) != spec.n:
+        raise InvalidConfig("the charge numbers fill an N-slot window, or "
+                            "an (N+1)-slot one less the hole i_hole")
+    return QuantumNumberConfig(two_i, *aux)
+
+
+def ground_state_numbers(spec: MixtureSpec) -> QuantumNumberConfig:
+    """The all-boson ground state: every level fills its window."""
+    _require_populations(spec, (spec.n, 0, 0), "ground state")
+    return _rearrange(spec, (), _windows(spec))
 
 
 def _mirror(combo: tuple[tuple[int, ...], ...]
@@ -110,21 +160,19 @@ def _sector_candidates(spec: MixtureSpec
     single-member sweep and the bounds are all symmetric about zero.
     Raises NonConvergence when no combination is admissible.
     """
-    pi_, pj, pjp = required_parities(spec)
-    b_lam, b_mu = auxiliary_bounds(spec)
+    windows = _windows(spec)
+    parities = required_parities(spec)
 
-    def candidates(count: int, parity: int,
-                   bound: float = np.inf) -> list[tuple[int, ...]]:
+    def candidates(level: int, count: int) -> list[tuple[int, ...]]:
         if count == 1:
-            runs = [(v,) for v in _parity_values(-spec.n, spec.n, parity)]
-        else:
-            runs = _offset_runs(count, parity)
-        return [run for run in runs if all(abs(v) < bound for v in run)]
+            return [(v,) for v in windows[level]]
+        return [run for run in _offset_runs(count, parities[level])
+                if not level or set(run) <= set(windows[level])]
 
-    combos = list(product(candidates(spec.n, pi_),
-                          candidates(spec.m, pj, b_lam),
-                          candidates(spec.mp, pjp, b_mu)))
+    combos = list(product(candidates(0, spec.n), candidates(1, spec.m),
+                          candidates(2, spec.mp)))
     if not combos:
+        b_lam, b_mu = auxiliary_bounds(spec)
         raise NonConvergence(
             "no sector candidate has admissible auxiliary quantum numbers "
             f"(|2J| < {b_lam}, |2J'| < {b_mu})", float("inf"))
@@ -135,29 +183,22 @@ def sector_ground(spec: MixtureSpec
                   ) -> tuple[QuantumNumberConfig, RootSet, Observables]:
     """Lowest-energy consecutive-run configuration of a (M, M') sector.
 
-    Enumerates near-symmetric consecutive runs of each family (see
-    :func:`_offset_runs`; a single-member family instead sweeps every
-    slot of the charge window, since its minimizing position can sit at
-    the window edge), solves every admissible combination, and returns
-    the minimizer; ties broken by smaller |P|, then lexicographically.
-    A combination and its mirror (every quantum number negated) have the
-    same E and |P| by reflection symmetry, so only the lexicographically
-    smaller one, which wins the tie, is solved.
+    Solves every admissible combination of near-symmetric runs (see
+    :func:`_offset_runs`; a single-member family sweeps every slot, as
+    its minimum can sit at the window edge) and returns the minimizer;
+    ties go to smaller |P|, then lexicographically. A combination and
+    its :func:`_mirror` have the same E and |P| by reflection symmetry,
+    so only the smaller one, which wins the tie, is solved.
 
     A combination is admissible when every |2J| < B_lambda and every
-    |2J'| < B_mu, the bounds that the lambda, mu -> +-infinity limit of
-    each auxiliary counting function puts on a finite real root (see
-    :func:`bfmix.bae.auxiliary_bounds`; the Yang-Gaudin J_max of
-    Takahashi, Thermodynamics of One-Dimensional Solvable Models, CUP
-    1999, ch. 4 and 7). Inadmissible candidates are skipped without a
-    solve: on every sector of all three orderings at N <= 5 and
-    c = 1e-3, 1, 1e3 they are exactly the candidates that fail or run
-    away. Admissible candidates that do not converge (or converge to a
-    non-regular runaway) are skipped too; raises NonConvergence if none
-    is admissible or none survives. The minimum over these candidates
+    |2J'| < B_mu (:func:`bfmix.bae.auxiliary_bounds`, the Yang-Gaudin
+    J_max). On every sector of all three orderings at N <= 5 and
+    c = 1e-3, 1, 1e3 the inadmissible ones are exactly the candidates
+    that fail or run away, so they get no solve. Admissible candidates
+    that do not converge (or run away) are skipped too; raises
+    NonConvergence if none is admissible or none survives. The minimum
     matches exhaustive in-window enumeration for every small-N sector
-    tested (the ffb ordering in particular; bff cannot express some
-    mixed sectors with real roots at all).
+    tested.
     """
     best = None
     for combo in _sector_candidates(spec):
@@ -209,76 +250,33 @@ def _particle_hole(spec: MixtureSpec, base: QuantumNumberConfig,
 def add_fermion_numbers(spec: MixtureSpec, j1: float, *,
                         i_hole: Optional[float] = None
                         ) -> QuantumNumberConfig:
-    """One-fermion-sector configuration parameterized by J1.
-
-    The sector replaces one boson by a spin-up fermion: populations
-    (N-1, 1, 0), i.e. bff (M, M') = (1, 0); fbf (N-1, 0); ffb
-    (N-1, N-1). All three orderings share one structure (their solved
-    spectra coincide state by state):
-
-    * charge: I fill the symmetric (N+1)-slot window minus one hole
-      (``i_hole``; default the window edge on the side opposite J1,
-      which minimizes |P| along the branch);
-    * spin: J1, a slot of the symmetric N-slot window with
-      |J1| < (N-1)/2, is the single J (bff) or the hole position in
-      the otherwise full J window (fbf, ffb);
-    * ffb third level: J' fill the symmetric (N-1)-slot run (the
-      remaining boson sea; no freedom).
-    """
-    n = spec.n
-    _require_populations(spec, (n - 1, 1, 0), "one-fermion sector")
+    """One-fermion-sector configuration, populations (N-1, 1, 0): J1 is
+    a slot, not an edge, of the window that takes one free number (see
+    :func:`_rearrange`). The charge numbers fill the (N+1)-slot window
+    less one hole (``i_hole``; default the edge opposite J1, which
+    minimizes |P| along the branch)."""
+    _require_populations(spec, (spec.n - 1, 1, 0), "one-fermion sector")
     two_j1 = _two(j1, "J1")
-    pj = required_parities(spec)[1]
-    if two_j1 % 2 != pj:
-        raise InvalidConfig("J1 has the wrong parity")
-    if abs(two_j1) >= n - 1:
-        raise InvalidConfig("J1 must satisfy |J1| < (N-1)/2")
-
-    window = _sym_run(n + 1)
-    if i_hole is None:
-        two_hole = window[0] if two_j1 >= 0 else window[-1]
-    else:
-        two_hole = _two(i_hole, "i_hole")
-        if two_hole not in window:
-            raise InvalidConfig("i_hole must be a window slot")
-    two_i = tuple(v for v in window if v != two_hole)
-
-    if spec.case == "bff":
-        return QuantumNumberConfig(two_i, (two_j1,), ())
-    two_j = tuple(v for v in _sym_run(n) if v != two_j1)
-    if spec.case == "fbf":
-        return QuantumNumberConfig(two_i, two_j, ())
-    return QuantumNumberConfig(two_i, two_j, _sym_run(n - 1))
+    windows = _windows(spec)
+    if two_j1 not in _free_level(spec, 1, windows)[1][1:-1]:
+        raise InvalidConfig("J1 must be an interior slot of its window")
+    two_hole = None if i_hole is None else _two(i_hole, "i_hole")
+    return _rearrange(spec, (two_j1,), windows, two_hole)
 
 
 def two_fermion_numbers(spec: MixtureSpec, j1: float,
                         j2: float) -> QuantumNumberConfig:
-    """Two-fermion-sector configuration (bff ordering, M = 2).
-
-    M' = 0 puts both quantum numbers in the J family; M' = 1 (one fermion
-    of each species) forces the single J' to zero. J1 < J2 within
-    |J| <= (N-1)/2; equal values are rejected (no two equal quantum
-    numbers in one family).
-    """
-    if spec.case != "bff" or spec.m != 2 or spec.mp not in (0, 1):
-        raise InvalidConfig("two-fermion sector expects bff with M=2, M'<=1")
+    """Two-fermion-sector configuration, populations (N-2, 2, 0) or
+    (N-2, 1, 1): J1 < J2 are slots of the window that takes two free
+    numbers (see :func:`_rearrange`)."""
+    if spec.populations() not in ((spec.n - 2, 2, 0), (spec.n - 2, 1, 1)):
+        raise InvalidConfig("two fermions need populations (N-2, 2, 0) or "
+                            f"(N-2, 1, 1), got {spec.populations()}")
     two_1, two_2 = _two(j1, "J1"), _two(j2, "J2")
-    if two_1 == two_2:
-        raise InvalidConfig("J1 = J2 is excluded (equal quantum numbers)")
-    if two_1 > two_2:
-        raise InvalidConfig("need J1 < J2")
-    pi_, pj, pjp = required_parities(spec)
-    n = spec.n
-    for v in (two_1, two_2):
-        if v % 2 != pj:
-            raise InvalidConfig("J has the wrong parity")
-        if abs(v) > n - 1:
-            raise InvalidConfig("J must satisfy |J| <= (N-1)/2")
-    two_i = _sym_run(n)
-    if (n - 1) % 2 != pi_:
-        raise InvalidConfig("no symmetric charge run with required parity")
-    two_jp = (0,) if spec.mp == 1 else ()
-    return QuantumNumberConfig(two_i, (two_1, two_2), two_jp)
+    if two_1 >= two_2:
+        raise InvalidConfig("need J1 < J2 (no two equal quantum numbers "
+                            "in one family)")
+    return _rearrange(spec, (two_1, two_2), _windows(spec))
 
 
 @dataclass(frozen=True)
@@ -319,19 +317,17 @@ class DispersionPoint:
 def _add_fermion_sweep(spec: MixtureSpec, family: AddOneFermion
                        ) -> list[tuple[tuple, MixtureSpec,
                                        QuantumNumberConfig]]:
-    n = spec.n
-    sub = MixtureSpec.from_populations(spec.case, (n - 1, 1, 0),
+    sub = MixtureSpec.from_populations(spec.case, (spec.n - 1, 1, 0),
                                        spec.L, spec.c)
-    two_js = _parity_values(-(n - 2), n - 2, required_parities(sub)[1])
-    window = _sym_run(n + 1)
-    variants = window if family.all_variants else (None,)
+    windows = _windows(sub)
+    charge = windows[0]
+    two_js = _free_level(sub, 1, windows)[1][1:-1]
+    variants = charge if family.all_variants else (None,)
     entries = []
     for two_hole in variants:
         for tj in two_js:
-            qn = add_fermion_numbers(
-                sub, tj / 2.0,
-                i_hole=None if two_hole is None else two_hole / 2.0)
-            hole_used = next(v for v in window if v not in qn.two_i)
+            qn = _rearrange(sub, (tj,), windows, two_hole)
+            hole_used = next(v for v in charge if v not in qn.two_i)
             entries.append(((hole_used / 2.0, tj / 2.0), sub, qn))
     return entries
 
@@ -361,9 +357,10 @@ def _sweep_rows(spec: MixtureSpec, family, qn0: QuantumNumberConfig
             raise InvalidConfig(
                 f"two-fermions family needs N >= 2, got N = {n}")
         sub = MixtureSpec("bff", n, 2, family.mp, spec.L, spec.c)
-        slots = _parity_values(-(n - 1), n - 1, required_parities(sub)[1])
+        windows = _windows(sub)
+        slots = _free_level(sub, 2, windows)[1]
         return [[((ta / 2.0, tb / 2.0), sub,
-                  two_fermion_numbers(sub, ta / 2.0, tb / 2.0))
+                  _rearrange(sub, (ta, tb), windows))
                  for tb in slots[i + 1:]]
                 for i, ta in enumerate(slots[:-1])]
     raise InvalidConfig(f"unknown excitation family {family!r}")
@@ -382,10 +379,9 @@ def dispersion(spec: MixtureSpec,
     roots of its column in the row above, or from the default seed where
     that point is missing or failed. A member whose start fails has run
     its coupling ladder once inside ``solve_many``. Failed points are
-    kept with status "failed" (P from the exact quantum numbers,
-    dE = nan).
+    kept with status "failed", P from :func:`bfmix.bae.momentum` and
+    dE = nan.
     """
-    _require_populations(spec, (spec.n, 0, 0), "ground state")
     qn0 = ground_state_numbers(spec)
     roots0 = solve(spec, qn0)
     e0 = energy_momentum(spec, qn0, roots0).E
@@ -402,9 +398,8 @@ def dispersion(spec: MixtureSpec,
         above = {}
         for (params, _, qn), roots in zip(row, solved):
             if isinstance(roots, NonConvergence):
-                zeros = _split(sub, np.zeros(sub.n + sub.m + sub.mp))
-                obs_p = energy_momentum(sub, qn, zeros).P
-                points.append(DispersionPoint(p=obs_p, de=float("nan"),
+                points.append(DispersionPoint(p=momentum(sub, qn),
+                                              de=float("nan"),
                                               status="failed",
                                               params=params))
                 continue

@@ -563,12 +563,17 @@ def test_solution_residual_is_tiny():
 
 def test_runaway_guard_unit():
     spec = MixtureSpec("bff", 1, 1, 0, 1.0, 1.0)
-    fine, escaped = _finalize(spec, np.array([[1.0, 30.0],  # physical scale
-                                              [1.0, 1e12]]))
+    qn = QuantumNumberConfig((1,), (0,))
+    fine, escaped = _finalize(spec, [qn, qn],
+                              np.array([[1.0, 30.0],  # physical scale
+                                        [1.0, 1e12]]))
     assert isinstance(fine, RootSet) and fine.lam.tolist() == [30.0]
     assert isinstance(escaped, NonConvergence)
+    # the rejected member reports its own residual max-norm: at
+    # lambda = 1e12 the lambda equation's phase has saturated at pi
     assert str(escaped) == ("root escaped to 1.000e+12 (non-regular "
-                            "solution) (best residual 0.000e+00)")
+                            "solution) (best residual 3.142e+00)")
+    assert escaped.best_residual == pytest.approx(np.pi, rel=1e-9)
 
 
 def test_runaway_line_search_emits_no_warning():

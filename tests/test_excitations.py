@@ -149,6 +149,86 @@ def test_two_fermion_numbers():
         two_fermion_numbers(MixtureSpec("ffb", 4, 2, 0, 4.0, 1.0), -0.5, 0.5)
 
 
+def _hand_add_fermion(spec, two_j1, two_hole):
+    """The per-ordering add-fermion builder that the one builder replaced,
+    on doubled numbers (oracle of test_builders_match_hand_oracles)."""
+    n = spec.n
+    if spec.populations() != (n - 1, 1, 0):
+        raise InvalidConfig("not the one-fermion sector")
+    if two_j1 % 2 != required_parities(spec)[1]:
+        raise InvalidConfig("J1 has the wrong parity")
+    if abs(two_j1) >= n - 1:
+        raise InvalidConfig("J1 must satisfy |J1| < (N-1)/2")
+    window = _sym_run(n + 1)
+    if two_hole is None:
+        two_hole = window[0] if two_j1 >= 0 else window[-1]
+    elif two_hole not in window:
+        raise InvalidConfig("i_hole must be a window slot")
+    two_i = tuple(v for v in window if v != two_hole)
+    if spec.case == "bff":
+        return QuantumNumberConfig(two_i, (two_j1,), ())
+    two_j = tuple(v for v in _sym_run(n) if v != two_j1)
+    if spec.case == "fbf":
+        return QuantumNumberConfig(two_i, two_j, ())
+    return QuantumNumberConfig(two_i, two_j, _sym_run(n - 1))
+
+
+def _hand_two_fermion(spec, two_1, two_2):
+    """The bff-only two-fermion builder that the one builder replaced, on
+    doubled numbers (oracle of test_builders_match_hand_oracles)."""
+    if spec.case != "bff" or spec.m != 2 or spec.mp not in (0, 1):
+        raise InvalidConfig("two-fermion sector expects bff with M=2, M'<=1")
+    if two_1 >= two_2:
+        raise InvalidConfig("need J1 < J2")
+    pi_, pj, _ = required_parities(spec)
+    n = spec.n
+    for v in (two_1, two_2):
+        if v % 2 != pj:
+            raise InvalidConfig("J has the wrong parity")
+        if abs(v) > n - 1:
+            raise InvalidConfig("J must satisfy |J| <= (N-1)/2")
+    if (n - 1) % 2 != pi_:
+        raise InvalidConfig("no symmetric charge run with required parity")
+    two_jp = (0,) if spec.mp == 1 else ()
+    return QuantumNumberConfig(_sym_run(n), (two_1, two_2), two_jp)
+
+
+def _built(build, *args, **kwargs):
+    """What ``build`` returns, or None where it raises InvalidConfig."""
+    try:
+        return build(*args, **kwargs)
+    except InvalidConfig:
+        return None
+
+
+def test_builders_match_hand_oracles():
+    # the one builder against the per-ordering builders it replaced: the
+    # same configuration, or InvalidConfig from both, for every ordering
+    # at N <= 24, every doubled J1 in [-N-1, N+1] and every hole (the
+    # default and one slot beyond each window edge included), and for
+    # every doubled J1, J2 pair of both bff two-fermion sectors
+    built = 0
+    for n in range(1, 25):
+        holes = (None,) + _sym_run(n + 3)
+        for case in ALL_CASES:
+            spec = MixtureSpec.from_populations(case, (n - 1, 1, 0),
+                                                float(n), 1.0)
+            for tj, th in product(range(-n - 1, n + 2), holes):
+                hole = None if th is None else th / 2.0
+                want = _built(_hand_add_fermion, spec, tj, th)
+                assert _built(add_fermion_numbers, spec, tj / 2.0,
+                              i_hole=hole) == want, (case, n, tj, th)
+                built += want is not None
+        for mp in (0, 1) if n >= 2 else ():
+            spec = MixtureSpec("bff", n, 2, mp, float(n), 1.0)
+            for ta, tb in product(range(-n - 1, n + 2), repeat=2):
+                want = _built(_hand_two_fermion, spec, ta, tb)
+                assert _built(two_fermion_numbers, spec, ta / 2.0,
+                              tb / 2.0) == want, (mp, n, ta, tb)
+                built += want is not None
+    assert built > 0
+
+
 # ------------------------------------------------------- sector minima
 
 def test_sector_ground_matches_frozen_one_fermion():
@@ -429,7 +509,21 @@ def _chained_dispersion(spec, family):
                 qn = particle_hole_numbers(spec, hole, two_p / 2.0)
                 entries.append(((float(hole), two_p / 2.0), spec, qn))
     elif isinstance(family, AddOneFermion):
-        entries.extend(excitations._add_fermion_sweep(spec, family))
+        # every doubled J1 in [-(N-2), N-2] and every hole of the
+        # (N+1)-slot window; the builder keeps the points it accepts
+        sub = MixtureSpec.from_populations(spec.case, (n - 1, 1, 0),
+                                           spec.L, spec.c)
+        window = _sym_run(n + 1)
+        for two_hole in window if family.all_variants else (None,):
+            for tj in range(-(n - 2), n - 1):
+                try:
+                    qn = add_fermion_numbers(
+                        sub, tj / 2.0,
+                        i_hole=None if two_hole is None else two_hole / 2.0)
+                except InvalidConfig:
+                    continue
+                hole = next(v for v in window if v not in qn.two_i)
+                entries.append(((hole / 2.0, tj / 2.0), sub, qn))
     else:
         if n < 2:
             raise InvalidConfig("two-fermions family needs N >= 2")
