@@ -54,6 +54,7 @@ that :func:`solve` gives it alone.
 """
 from __future__ import annotations
 
+import enum
 import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -79,12 +80,22 @@ class InvalidConfig(ValueError):
     """Raised for structurally invalid specs or quantum-number configs."""
 
 
+class Reason(enum.Enum):
+    """Why a solve failed: the ``reason`` of a :class:`NonConvergence`."""
+    STALLED = "stalled"            # the line search found no descent
+    SINGULAR = "singular"          # the Newton step met a singular Jacobian
+    RUNAWAY = "runaway"            # a root escaped beyond the physical scale
+    BUDGET = "budget"              # the step or node budget ran out
+    NO_CANDIDATE = "no-candidate"  # no candidate was admissible or survived
+
+
 class NonConvergence(RuntimeError):
     """Raised when the Newton/continuation schedule fails to converge."""
 
-    def __init__(self, message: str, best_residual: float):
+    def __init__(self, message: str, best_residual: float, reason: Reason):
         super().__init__(f"{message} (best residual {best_residual:.3e})")
         self.best_residual = best_residual
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -178,6 +189,13 @@ _COUPLINGS = {
 _SIGNS = {case: {k: (p > 0) - (p < 0) if p else 0 for k, p in cpl.items()}
           for case, cpl in _COUPLINGS.items()}
 
+# The Yang-Yang sign vector d on (k, lambda, mu): the transpose of each
+# coupled term has d_i d_j times its parameter, so diag(d) J is symmetric.
+# (+, -, -) for ffb, (+, +, -) for bff and (+, -, +) for fbf.
+_SYMMETRIZER = {case: (1, s["kl"] * s["lk"],
+                       s["kl"] * s["lk"] * s["lm"] * s["ml"])
+                for case, s in _SIGNS.items()}
+
 
 def _level_sums(spec: MixtureSpec) -> tuple[int, int, int]:
     """Signed term counts (s_k, s_lambda, s_mu) of the three equations:
@@ -267,7 +285,8 @@ def _pair_table(case: str, n: int, m: int,
 
     par is the ``_COUPLINGS`` parameter of Theta_par(x_i - x_j) in row
     i's equation. Every term's transpose is present too, with parameter
-    mirror*par (mirror = +-1): its Theta' is mirror times that of (i, j),
+    mirror*par, mirror = d_i d_j from ``_SYMMETRIZER`` (checked against
+    ``_COUPLINGS``): its Theta' is mirror times that of (i, j),
     since Theta' is even in x, and its Theta is -mirror times, since
     Theta is odd in x and in its parameter. ij and ji index the entries
     (i, j) and (j, i) of a row-major D x D matrix. outer indexes the k
@@ -277,14 +296,16 @@ def _pair_table(case: str, n: int, m: int,
     cpl = _COUPLINGS[case]
     block = np.array([[cpl.get(a + b) for b in "klm"] for a in "klm"],
                      dtype=float)
-    assert np.array_equal(np.abs(block), np.abs(block.T), equal_nan=True)
     family = np.repeat(np.arange(3), (n, m, mp))
     d = family.size
     i, j = np.triu_indices(d, 1)
     par = block[family[i], family[j]]
+    sym = np.array(_SYMMETRIZER[case], dtype=float)[family]
+    mirror = sym[i] * sym[j]
+    assert np.array_equal(block[family[j], family[i]], mirror * par,
+                          equal_nan=True)
     keep = ~np.isnan(par)
-    i, j, par = i[keep], j[keep], par[keep]
-    mirror = block[family[j], family[i]] / par
+    i, j, par, mirror = i[keep], j[keep], par[keep], mirror[keep]
     outer = np.r_[0:n, n + m:d]
     table = (i, j, par, mirror, i * d + j, j * d + i, outer, outer * (d + 1))
     for arr in table:
@@ -512,15 +533,15 @@ def _lockstep(spec: MixtureSpec, rhs: np.ndarray,
     rmax = np.abs(r).max(axis=1)
     best = rmax.copy()
 
-    def leave(mask, message=None):
-        """Record the members in ``mask`` as converged (no message) or
+    def leave(mask, reason=None, message=None):
+        """Record the members in ``mask`` as converged (no reason) or
         failed, and drop their rows from the table."""
         nonlocal ids, rhs, x, r, best
         if not mask.any():
             return
         for i, xi, b in zip(ids[mask], x[mask], best[mask]):
-            results[i] = (xi if message is None
-                          else NonConvergence(message, float(b)))
+            results[i] = (xi if reason is None
+                          else NonConvergence(message, float(b), reason))
         keep = ~mask
         ids, rhs, x, r, best = (ids[keep], rhs[keep], x[keep], r[keep],
                                 best[keep])
@@ -531,7 +552,7 @@ def _lockstep(spec: MixtureSpec, rhs: np.ndarray,
             return results
         step, singular = _steps(spec, jacobian(spec, rhs, x), r)
         if singular is not None:
-            leave(singular, "singular Jacobian")
+            leave(singular, Reason.SINGULAR, "singular Jacobian")
             step = step[~singular]
             if not ids.size:
                 return results
@@ -539,12 +560,13 @@ def _lockstep(spec: MixtureSpec, rhs: np.ndarray,
         x_old, x = x, x + step
         r = residual(spec, rhs, x)
         leave(_backtrack(spec, rhs, x_old, step, norm0, x, r),
-              "line search stalled")
+              Reason.STALLED, "line search stalled")
         rmax = np.abs(r).max(axis=1)
         # min(best, rmax) member by member: a NaN residual keeps best
         best = np.where(rmax < best, rmax, best)
     leave(rmax < _TOL)
-    leave(np.ones(ids.size, dtype=bool), "Newton budget exhausted")
+    leave(np.ones(ids.size, dtype=bool), Reason.BUDGET,
+          "Newton budget exhausted")
     return results
 
 
@@ -684,7 +706,8 @@ def _finalize(spec: MixtureSpec, qns: Sequence[QuantumNumberConfig],
             r = _residual(spec, _rhs([qns[b] for b in escaped]), x[escaped])
         for b, rmax in zip(escaped, np.abs(r).max(axis=1).tolist()):
             results[b] = NonConvergence(f"root escaped to {worst[b]:.3e} "
-                                        "(non-regular solution)", rmax)
+                                        "(non-regular solution)", rmax,
+                                        Reason.RUNAWAY)
     return results
 
 
@@ -692,11 +715,10 @@ def momentum(spec: MixtureSpec, qn: QuantumNumberConfig) -> float:
     """P = sum k_j = (2 pi/L)(sum I + s_J sum J + s_J' sum J'), from the
     quantum numbers alone: summing the equations turns each cross sum
     into -+ the partner's 2 pi J sum, so s_J = -sigma(kl) sigma(lk) and
-    s_J' = s_J sigma(lm) sigma(ml)."""
-    s = _SIGNS[spec.case]
-    sj = -s["kl"] * s["lk"]
-    sjp = sj * s["lm"] * s["ml"]
-    doubled = sum(qn.two_i) + sj * sum(qn.two_j) + sjp * sum(qn.two_jp)
+    s_J' = s_J sigma(lm) sigma(ml): minus d_lambda and d_mu of
+    ``_SYMMETRIZER``."""
+    _, d_lam, d_mu = _SYMMETRIZER[spec.case]
+    doubled = sum(qn.two_i) - d_lam * sum(qn.two_j) - d_mu * sum(qn.two_jp)
     return 2.0 * np.pi / spec.L * (doubled / 2.0)
 
 

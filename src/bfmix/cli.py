@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import math
+import operator
 import re
 import sys
 from typing import Optional, Sequence
@@ -56,6 +58,40 @@ def _cells(row: Sequence) -> list:
             for v in row]
 
 
+def _unquoted(values) -> bool:
+    """Whether csv writes each of ``values`` unquoted, as its str()."""
+    cells = ["", *map(str, values)]  # two cells: csv quotes a lone ""
+    stream = io.StringIO()
+    csv.writer(stream, lineterminator="\n").writerow(cells)
+    return stream.getvalue() == ",".join(cells) + "\n"
+
+
+def _line_format(rows: list[Sequence]) -> Optional[str]:
+    """One %-format giving every row's CSV line, or None.
+
+    It exists when all rows have one width, at least 2 (csv quotes a
+    lone empty cell), and each column holds only float cells ("%.17g",
+    the text of :func:`_fmt`) or only str and int cells that csv writes
+    unquoted as their str() ("%s"), judged from the set of the column's
+    cell types and, if it holds str cells, of its distinct values.
+    """
+    widths = set(map(len, rows))
+    if len(widths) != 1 or min(widths) < 2:
+        return None
+    specs = []
+    for cell in map(operator.itemgetter, range(min(widths))):
+        types = set(map(type, map(cell, rows)))
+        if all(issubclass(t, (float, np.floating)) for t in types):
+            specs.append("%.17g")
+        elif (all(t is str or issubclass(t, (int, np.integer))
+                  for t in types)
+              and (str not in types or _unquoted(set(map(cell, rows))))):
+            specs.append("%s")
+        else:
+            return None
+    return ",".join(specs) + "\n"
+
+
 def _write_rows(out: Optional[str], header: Sequence[str],
                 rows: list[Sequence], manifest: dict) -> None:
     """Write CSV (file or stdout) and, for files, the sibling manifest.
@@ -64,12 +100,18 @@ def _write_rows(out: Optional[str], header: Sequence[str],
     every other cell goes to ``csv.writer`` as it is, which writes
     ``str()`` of it, the same text ``_fmt`` gives. A cell must not be
     None (csv would write an empty field). ``rows`` is a list: its
-    length is the number of rows written.
+    length is the number of rows written. A table that has a
+    :func:`_line_format` is streamed through it, with the same bytes.
     """
     def emit(stream):
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(map(_cells, rows))
+        line = _line_format(rows)
+        if line is None:
+            writer.writerows(map(_cells, rows))
+        else:
+            # % takes its cells from a tuple, not a list
+            stream.writelines(map(line.__mod__, map(tuple, rows)))
 
     if out is None:
         emit(sys.stdout)
@@ -278,10 +320,11 @@ def _cmd_phase(args) -> int:
             f"points, more than {_MAX_RANGE_POINTS}")
     result = phases.phase_scan(args.regime, ratios, hs, c=args.c, n=args.n,
                                L=args.l, mu_b=args.mu_b)
-    # each axis value is formatted once; the rows are ratio-major, h-minor
-    axes = itertools.product([_fmt(r) for r in ratios], [_fmt(h) for h in hs])
-    rows = [(ratio, h, r.n_b, r.n_up, r.n_down, r.label)
-            for (ratio, h), r in zip(axes, result.rows)]
+    # each axis value and each winner's cells are built once; the rows
+    # are ratio-major, h-minor
+    axes = itertools.product(map(_fmt, ratios), [_fmt(h) for h in hs])
+    tails = map(result.tails().__getitem__, result.winners.ravel().tolist())
+    rows = list(map(operator.add, axes, tails))
     manifest = _manifest("phase", regime=args.regime, n=args.n, L=args.l,
                          c=args.c, mu_b=args.mu_b, ratio=args.ratio,
                          h=args.h,

@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .bae import (InvalidConfig, MixtureSpec, NonConvergence, Observables,
-                  QuantumNumberConfig, RootSet, auxiliary_bounds,
+                  QuantumNumberConfig, Reason, RootSet, auxiliary_bounds,
                   energy_momentum, momentum, required_parities, solve,
                   solve_many)
 
@@ -175,7 +175,8 @@ def _sector_candidates(spec: MixtureSpec
         b_lam, b_mu = auxiliary_bounds(spec)
         raise NonConvergence(
             "no sector candidate has admissible auxiliary quantum numbers "
-            f"(|2J| < {b_lam}, |2J'| < {b_mu})", float("inf"))
+            f"(|2J| < {b_lam}, |2J'| < {b_mu})", float("inf"),
+            Reason.NO_CANDIDATE)
     return combos
 
 
@@ -214,7 +215,8 @@ def sector_ground(spec: MixtureSpec
         if best is None or key < best[0]:
             best = (key, qn, roots, obs)
     if best is None:
-        raise NonConvergence("no sector candidate converged", float("inf"))
+        raise NonConvergence("no sector candidate converged", float("inf"),
+                             Reason.NO_CANDIDATE)
     return best[1], best[2], best[3]
 
 

@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bae import InvalidConfig, MixtureSpec, NonConvergence
+from .bae import InvalidConfig, MixtureSpec, NonConvergence, Reason
 from .excitations import sector_ground
 
 # Largest n of a phase table (weak regime, n = 3000: 37 s and 481 MB).
@@ -86,10 +86,39 @@ class ScanRow(NamedTuple):
     label: str
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PhaseScanResult:
-    rows: list[ScanRow]
+    """A classified (ratio, h) grid, held by its distinct values.
+
+    ``winners[i, j]`` indexes the minimizer at (``ratios[i]``, ``hs[j]``)
+    in ``compositions``, the (C, 3) int array of candidate (N_B, N_up,
+    N_down) in the exact-tie order. ``labels`` maps each winning index to
+    its :func:`classify` label. ``rows``, the grid as :class:`ScanRow`
+    (ratio-major, h-minor), is built on first access.
+    """
+    ratios: list[float]
+    hs: list[float]
+    winners: np.ndarray
+    compositions: np.ndarray
+    labels: dict[int, str]
     excluded_sectors: tuple[tuple[int, int], ...] = ()
+
+    def tails(self) -> dict[int, tuple[int, int, int, str]]:
+        """(N_B, N_up, N_down, label) of each winning candidate index."""
+        return {w: (*self.compositions[w].tolist(), label)
+                for w, label in self.labels.items()}
+
+    @functools.cached_property
+    def rows(self) -> list[ScanRow]:
+        tails = self.tails()
+        return [ScanRow(ratio, h, *tails[w])
+                for ratio, row in zip(self.ratios, self.winners.tolist())
+                for h, w in zip(self.hs, row)]
+
+    def __eq__(self, other):
+        return isinstance(other, PhaseScanResult) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in self.__dataclass_fields__)
 
 
 def classify(populations: tuple[int, int, int]) -> str:
@@ -194,7 +223,8 @@ def sector_energy_table(c: float, n: int, L: float
         except NonConvergence:
             excluded.append((m, mp))
     if not energy:
-        raise NonConvergence("every sector failed to converge", float("inf"))
+        raise NonConvergence("every sector failed to converge", float("inf"),
+                             Reason.NO_CANDIDATE)
     solved = [(pops, energy[sector]) for sector, pops
               in candidate_compositions(n) if sector in energy]
     return ([pops for pops, _ in solved], [e for _, e in solved],
@@ -214,15 +244,16 @@ def general_phase(c: float, fields: FieldPoint, n: int,
 def _phase_point(regime: str, fields: FieldPoint, n: int, L: float,
                  c: float = 1.0) -> PhasePoint:
     pop_arr, e_arr, excluded = _regime_table(regime, n, L, c)
-    best = _minimize(pop_arr, e_arr, fields.mu_b, fields.mu_f, [fields.h])
-    pops = tuple(best[0].tolist())
+    (best,) = _argmin(pop_arr, e_arr, fields.mu_b, fields.mu_f, [fields.h])
+    pops = tuple(pop_arr[best].tolist())
     return PhasePoint(populations=pops, label=classify(pops),
                       excluded_sectors=excluded)
 
 
 def _regime_table(regime: str, n: int, L: float, c: float = 1.0
                   ) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """(populations, energies, excluded sectors) of one regime's candidates."""
+    """(populations, energies, excluded sectors) of one regime's
+    candidates, ordered by more bosons, then more spin-up fermions."""
     if not 1 <= n <= MAX_PARTICLES:
         raise InvalidConfig(f"need 1 <= n <= {MAX_PARTICLES}, got n = {n}")
     if not (np.isfinite(L) and L > 0):
@@ -249,55 +280,53 @@ def _regime_table(regime: str, n: int, L: float, c: float = 1.0
         comps, energies, excluded = sector_energy_table(c, n, L)
     else:
         raise ValueError(f"unknown regime {regime!r}")
-    return (np.asarray(comps, dtype=float), np.asarray(energies, dtype=float),
+    pop_arr = np.asarray(comps, dtype=int)
+    order = np.lexsort((-pop_arr[:, 1], -pop_arr[:, 0]))
+    return (pop_arr[order], np.asarray(energies, dtype=float)[order],
             excluded)
 
 
-def _minimize(pop_arr: np.ndarray, e_arr: np.ndarray, mu_b: float,
-              mu_f: float, h_values) -> np.ndarray:
-    """Grand-energy minimizers at (mu_b, mu_f), one int row per h value.
+def _argmin(pop_arr: np.ndarray, e_arr: np.ndarray, mu_b: float,
+            mu_f: float, h_values) -> np.ndarray:
+    """Index of the grand-energy minimizer at (mu_b, mu_f), per h value.
 
-    The candidates are first ordered by more bosons, then more spin-up
-    fermions, and argmin takes the first of exact ties, so ties go that
-    way. Memory is O(len(h_values) * candidates). Fields so large that a
-    grand energy overflows cannot be compared and raise InvalidConfig.
+    Ties go to the first candidate in the order of :func:`_regime_table`.
+    Memory is O(len(h_values) * candidates). Fields so large that a grand
+    energy overflows cannot be compared and raise InvalidConfig.
     """
-    order = np.lexsort((-pop_arr[:, 1], -pop_arr[:, 0]))
-    pops = pop_arr[order]
     h_col = np.asarray(h_values, dtype=float)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        g = grand_energy(pops.T, e_arr[order],
+        g = grand_energy(pop_arr.T, e_arr,
                          FieldPoint(h=h_col, mu_b=mu_b, mu_f=mu_f))
     if not np.isfinite(g).all():
         raise InvalidConfig(f"grand energy overflows at mu_b = {mu_b}, "
                             f"mu_f = {mu_f} and the given h values")
-    return pops[np.argmin(g, axis=1)].astype(int)
+    return np.argmin(g, axis=1)
 
 
 def phase_scan(regime: str, ratio_values, h_values, *, c: float = 1.0,
                n: int = 42, L: float = 42.0,
                mu_b: float = 1.0) -> PhaseScanResult:
-    """Classify a (ratio, h) grid; rows ordered ratio-major, h-minor.
+    """Classify a (ratio, h) grid into a :class:`PhaseScanResult`.
 
     Sector energies do not depend on the fields, so they are computed
     once and each ratio row reduces to one vectorized minimization over
     its h values, with the exact-tie preference for more bosons, then
-    more spin-up. Each grid point then costs one cache lookup and one
-    tuple: a winning composition is labelled by :func:`classify` the
-    first time it wins, and only the winners are labelled (there are
-    far fewer of them than candidates at large n).
+    more spin-up. A grid point costs one candidate index: only the
+    distinct winners are labelled by :func:`classify`, once each (there
+    are far fewer of them than candidates at large n).
     """
     if not (np.isfinite(mu_b) and mu_b > 0):
         raise InvalidConfig(
             f"mu_b must be finite and positive when ratio is the axis, "
             f"got {mu_b}")
     pop_arr, e_arr, excluded = _regime_table(regime, n, L, c)
+    ratios = [float(r) for r in ratio_values]
     hs = [float(h) for h in h_values]
-    label = functools.cache(classify)
-    rows = []
-    for ratio in ratio_values:
-        best = _minimize(pop_arr, e_arr, mu_b, ratio * mu_b, hs)
-        ratio = float(ratio)
-        rows.extend(ScanRow(ratio, h, n_b, up, dn, label((n_b, up, dn)))
-                    for h, (n_b, up, dn) in zip(hs, best.tolist()))
-    return PhaseScanResult(rows=rows, excluded_sectors=excluded)
+    winners = np.empty((len(ratios), len(hs)), dtype=np.intp)
+    for row, ratio in zip(winners, ratios):
+        row[:] = _argmin(pop_arr, e_arr, mu_b, ratio * mu_b, hs)
+    # not np.unique: no sort, and no lazy set-up on a process's first call
+    won = np.flatnonzero(np.bincount(winners.ravel()))
+    labels = {w: classify(tuple(pop_arr[w].tolist())) for w in won.tolist()}
+    return PhaseScanResult(ratios, hs, winners, pop_arr, labels, excluded)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bae import NonConvergence
+from .bae import NonConvergence, Reason
 
 _KF_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
@@ -284,9 +284,9 @@ def solve_ground_density(density: float, c: float, *,
         nodes *= 2
     if not bracketed_any:
         raise NonConvergence(f"no node level up to {max_nodes} nodes "
-                             "bracketed k_F", change)
+                             "bracketed k_F", change, Reason.BUDGET)
     raise NonConvergence("ground density did not converge in node budget",
-                         change)
+                         change, Reason.BUDGET)
 
 
 def hole_energy(profile: DensityProfile, k_bar: float) -> float:

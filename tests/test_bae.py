@@ -395,6 +395,21 @@ def test_pair_kernel_matches_full_matrix_sums(case):
         assert np.array_equal(got_j, want_j, equal_nan=True)
 
 
+@pytest.mark.parametrize("case, signs", [("ffb", (1, -1, -1)),
+                                         ("bff", (1, 1, -1)),
+                                         ("fbf", (1, -1, 1))])
+def test_yang_yang_signs_symmetrize_the_jacobian(case, signs):
+    # diag(d) J equals its transpose exactly, with d on (k, lambda, mu)
+    assert bae._SYMMETRIZER[case] == signs
+    rng = np.random.default_rng(8)
+    for n, m, mp in ((1, 1, 0), (3, 2, 1), (6, 4, 3), (9, 6, 4)):
+        spec = MixtureSpec(case, n, m, mp, float(n), 0.7)
+        x = rng.normal(scale=2.0, size=(4, n + m + mp))
+        d = np.repeat(signs, (n, m, mp))
+        sym = d[:, None] * jacobian(spec, np.zeros_like(x), x)
+        assert np.array_equal(sym, sym.transpose(0, 2, 1))
+
+
 @pytest.mark.parametrize("case", ALL_CASES)
 @pytest.mark.parametrize("escaped", [np.inf, -np.inf, np.nan])
 def test_absent_pairs_stay_zero_on_escaped_root(case, escaped):
@@ -464,7 +479,9 @@ def test_schur_step_zero_pivot_is_singular(monkeypatch):
         _, singular = bae._steps(spec, jac, r)
         monkeypatch.setattr(bae, "_SCHUR_MIN_D", 10 ** 9)
         _, dense = bae._steps(spec, jac, r)
+        [failed] = bae._lockstep(spec, rhs[1:], x[1:])
     assert singular.tolist() == dense.tolist() == [False, True]
+    assert failed.reason is bae.Reason.SINGULAR
 
 
 # ------------------------------------------------- solver invariants
@@ -569,6 +586,7 @@ def test_runaway_guard_unit():
                                         [1.0, 1e12]]))
     assert isinstance(fine, RootSet) and fine.lam.tolist() == [30.0]
     assert isinstance(escaped, NonConvergence)
+    assert escaped.reason is bae.Reason.RUNAWAY
     # the rejected member reports its own residual max-norm: at
     # lambda = 1e12 the lambda equation's phase has saturated at pi
     assert str(escaped) == ("root escaped to 1.000e+12 (non-regular "
@@ -598,7 +616,8 @@ def _count_newton(monkeypatch, fail_first=False):
     def counted(spec, qns, x0):
         couplings.append(spec.c)
         if fail_first and len(couplings) == 1:
-            return [NonConvergence("forced direct failure", 1.0)] * len(qns)
+            return [NonConvergence("forced direct failure", 1.0,
+                                   bae.Reason.STALLED)] * len(qns)
         return newton(spec, qns, x0)
 
     monkeypatch.setattr(bae, "_newton", counted)
@@ -611,8 +630,9 @@ def test_direct_runaway_starts_no_ladder(monkeypatch):
     # on any candidate tried)
     couplings = _count_newton(monkeypatch)
     spec = MixtureSpec("bff", 1, 1, 1, 1.0, 1.0)
-    with pytest.raises(NonConvergence, match="root escaped"):
+    with pytest.raises(NonConvergence, match="root escaped") as err:
         solve(spec, QuantumNumberConfig((1,), (1,), (1,)))
+    assert err.value.reason is bae.Reason.RUNAWAY
     assert couplings == [1.0]
 
 
@@ -672,6 +692,7 @@ def _assert_same_results(stacked, single):
         assert type(a) is type(b)
         if isinstance(b, NonConvergence):
             assert str(a) == str(b)
+            assert a.reason is b.reason
         elif isinstance(b, RootSet):
             for family in ("k", "lam", "mu"):
                 assert np.array_equal(getattr(a, family), getattr(b, family))
@@ -679,10 +700,19 @@ def _assert_same_results(stacked, single):
             assert np.array_equal(a, b)
 
 
+_REASONS = {"line search stalled": bae.Reason.STALLED,
+            "singular Jacobian": bae.Reason.SINGULAR,
+            "root escaped": bae.Reason.RUNAWAY,
+            "Newton budget exhausted": bae.Reason.BUDGET}
+
+
 def _kind(result):
+    """The message head of a failure, checked against its reason."""
     if not isinstance(result, NonConvergence):
         return "converged"
-    return str(result).split(" (")[0].split(" to ")[0]
+    kind = str(result).split(" (")[0].split(" to ")[0]
+    assert result.reason is _REASONS[kind]
+    return kind
 
 
 def test_stacked_newton_matches_one_member_runs(monkeypatch):

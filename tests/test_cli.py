@@ -320,6 +320,24 @@ def test_write_rows_matches_per_cell_writer_on_mixed_cells(tmp_path):
     out = tmp_path / "mixed.csv"
     cli._write_rows(str(out), header, rows, {})
     assert out.read_bytes() == _per_cell_csv(header, rows)
+    # tables of one width: each either takes one line format or falls
+    # back to the cell-by-cell writer, with the same bytes
+    floats = [np.float32(0.1), np.float32(-0.0), -0.0, float("nan"),
+              float("inf"), float("-inf"), 5e-324, 1e308, np.float64(0.1)]
+    tables = {
+        "floats": ([tuple(floats), tuple(reversed(floats))], True),
+        "plain": ([("bff", 0, np.int64(-3), 0.5), ("fbf", 7, 2, -1.0)],
+                  True),
+        "bool-bigint": ([(True, 2 ** 70), (False, -2 ** 70)], True),
+        "quoted": ([("a,b", 1.0), ('say "x"', 2.0), ("plain", 3.0)], False),
+        "int-float": ([(1, 2.0), (1.5, 2.0), (-0.0, 3.0)], False),
+        "one-empty": ([("",), ("",)], False),
+    }
+    for name, (table, templated) in tables.items():
+        out = tmp_path / f"{name}.csv"
+        cli._write_rows(str(out), header, table, {})
+        assert out.read_bytes() == _per_cell_csv(header, table), name
+        assert (cli._line_format(table) is not None) == templated, name
 
 
 _WRITTEN_RUNS = {
@@ -335,6 +353,9 @@ _WRITTEN_RUNS = {
                            "4", "--c", "1", "--ratio", "0:2:0.25",
                            "--h=-1.5:1.5:0.3"]
        for regime in ("weak", "strong", "general")},
+    "phase-sector-table": ["phase", "--regime", "general", "--c", "0.001",
+                           "--n", "4", "--l", "4", "--ratio", "0:8:0.08",
+                           "--h=-6:6:0.12"],
 }
 
 
@@ -354,6 +375,8 @@ def test_written_csv_matches_per_cell_writer(name, tmp_path, monkeypatch):
     assert type(rows) is list  # its length is the traced row count
     assert len(rows) > 1
     assert out.read_bytes() == _per_cell_csv(header, rows)
+    if name.startswith("phase") or name == "ybe-check":
+        assert cli._line_format(rows) is not None  # one format per line
 
 
 def test_phase_writes_signed_zero_axis_values(tmp_path):

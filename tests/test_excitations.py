@@ -366,8 +366,20 @@ def test_sector_ground_roots_meet_tolerance(case, n, data, c, L):
 
 def test_sector_ground_without_admissible_candidate_raises():
     # ffb N=5, M=4, M'=2: every J run reaches |2J| = 4 = B_lambda
-    with pytest.raises(NonConvergence, match="admissible"):
+    with pytest.raises(NonConvergence, match="admissible") as err:
         sector_ground(MixtureSpec("ffb", 5, 4, 2, 5.0, 1.0))
+    assert err.value.reason is bae.Reason.NO_CANDIDATE
+
+
+def test_sector_ground_without_converged_candidate_raises(monkeypatch):
+    def failing(spec, qn):
+        raise NonConvergence("forced failure", 1.0, bae.Reason.STALLED)
+
+    monkeypatch.setattr(excitations, "solve", failing)
+    with pytest.raises(NonConvergence, match="no sector candidate converged"
+                       ) as err:
+        sector_ground(MixtureSpec("bff", 3, 1, 0, 3.0, 1.0))
+    assert err.value.reason is bae.Reason.NO_CANDIDATE
 
 
 # ------------------------------------------- strong-coupling closed forms
@@ -468,7 +480,8 @@ def test_dispersion_solves_rows_as_stacks(monkeypatch):
 
     def failing(sub, qns, x0):
         runs.append((sub.c, list(qns)))
-        return [NonConvergence("forced failure", 1.0) if qn == doomed
+        return [NonConvergence("forced failure", 1.0, bae.Reason.STALLED)
+                if qn == doomed
                 else res for qn, res in zip(qns, newton(sub, qns, x0))]
 
     def recorded(sub, qns, inits):

@@ -30,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bfmix import cli, phases
-from bfmix.bae import MixtureSpec, NonConvergence
+from bfmix.bae import MixtureSpec, NonConvergence, Reason
 from bfmix.excitations import sector_ground
 from bfmix.phases import (
     FieldPoint,
@@ -409,7 +409,7 @@ def _fail_sectors(monkeypatch, n, failing):
 
     def patched(spec):
         if failing is None or (n - spec.mp, spec.m - spec.mp) in failing:
-            raise NonConvergence("forced failure", 1.0)
+            raise NonConvergence("forced failure", 1.0, Reason.STALLED)
         return solve_sector(spec)
 
     monkeypatch.setattr(phases, "sector_ground", patched)
@@ -436,8 +436,9 @@ def test_failed_sector_is_excluded_with_its_mirror(monkeypatch, tmp_path,
 
 def test_every_sector_failed_raises(monkeypatch, capsys):
     _fail_sectors(monkeypatch, 4, None)
-    with pytest.raises(NonConvergence, match="every sector failed"):
+    with pytest.raises(NonConvergence, match="every sector failed") as err:
         sector_energy_table(1.0, 4, 4.0)
+    assert err.value.reason is Reason.NO_CANDIDATE
     assert cli.main(["phase", "--regime", "general", "--n", "4", "--l", "4",
                      "--c", "1", "--ratio", "1", "--h", "0"]) \
         == cli.EXIT_NUMERICAL
@@ -579,6 +580,30 @@ def test_phase_scan_labels_each_winner_once(monkeypatch):
                           row.label)
     with pytest.raises(AttributeError):
         row.label = "F"
+
+
+def test_phase_scan_result_rebuilds_its_rows():
+    ratios, hs = [0.0, 0.5, 1.0, 2.0], [-2.0, 0.0, 1.0]
+    scan = phase_scan("weak", ratios, hs, n=6, L=6.0)
+    assert (scan.ratios, scan.hs) == (ratios, hs)
+    assert scan.winners.shape == (len(ratios), len(hs))
+    # the candidates in the exact-tie order: more bosons, then more up
+    comps = [tuple(p) for p in scan.compositions.tolist()]
+    assert comps == sorted(comps, key=lambda p: (-p[0], -p[1]))
+    assert set(scan.labels) == set(scan.winners.ravel().tolist())
+    for k, row in enumerate(scan.rows):
+        i, j = divmod(k, len(hs))
+        w = scan.winners[i, j]
+        assert row == ScanRow(scan.ratios[i], scan.hs[j],
+                              *scan.compositions[w], scan.labels[w])
+    assert len(scan.rows) == len(ratios) * len(hs)
+    assert scan.rows is scan.rows
+    assert scan == phase_scan("weak", ratios, hs, n=6, L=6.0)
+    # unequal scans compare without raising on their array fields
+    assert scan != phase_scan("strong", ratios, hs, n=6, L=6.0)
+    assert scan != phase_scan("weak", ratios, hs, n=4, L=4.0)
+    assert scan != phase_scan("weak", ratios[:2], hs, n=6, L=6.0)
+    assert scan != scan.rows
 
 
 def test_phase_scan_rejects_unknown_regime():

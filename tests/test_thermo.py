@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from bfmix import thermo
-from bfmix.bae import NonConvergence
+from bfmix.bae import NonConvergence, Reason
 from bfmix.thermo import (DensityProfile, fermion_dressed_energy,
                           hole_energy, kernel, solve_ground_density)
 
@@ -372,8 +372,9 @@ def test_no_bracketing_level_is_reported():
         warnings.simplefilter("error")
         with pytest.raises(NonConvergence,
                            match="no node level up to 6400 nodes "
-                                 "bracketed k_F"):
+                                 "bracketed k_F") as err:
             solve_ground_density(1.0, 1e-6)
+    assert err.value.reason is Reason.BUDGET
 
 
 def test_overflowing_kernel_peak_is_no_bracket(monkeypatch):
@@ -404,9 +405,11 @@ def test_node_budget_failure_reports_last_energy_change():
     with pytest.raises(NonConvergence) as err:
         solve_ground_density(1.0, 1e-3, initial_nodes=200, max_nodes=400)
     assert err.value.best_residual == pytest.approx(0.0894, rel=1e-3)
+    assert err.value.reason is Reason.BUDGET
     with pytest.raises(NonConvergence) as err:
         solve_ground_density(1.0, 1e-3, initial_nodes=200, max_nodes=200)
     assert np.isnan(err.value.best_residual)
+    assert err.value.reason is Reason.BUDGET
 
 
 @pytest.mark.parametrize("density, kwargs", [
