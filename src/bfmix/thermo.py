@@ -25,8 +25,9 @@ The rule is mirror-symmetric and rho0 is even, so each probe solves the
 system folded onto the ceil(n/2) non-negative nodes, with the kernel
 K2(k - k') + K2(k + k') and each positive node carrying its mirror's
 weight; the converged profile is mirrored back onto the full grid. The
-rule comes from Newton's method on the Legendre recurrence, O(n^2)
-operations, and is computed once per node count and cached. At each
+rule takes one pass of the Legendre recurrence, O(n^2) operations, and
+Newton's method on the local Taylor polynomial of P_n (Glaser, Liu &
+Rokhlin, 2007); it is computed once per node count and cached. At each
 node count k_F is found by a safeguarded Newton search on the density
 constraint, started from the previous level's k_F. Its slope comes from
 the identity dn/dk_F = 2 rho(k_F) Z(k_F) = 4 pi rho(k_F)^2, with the
@@ -105,37 +106,50 @@ def _unfold(half: np.ndarray, nodes: int) -> np.ndarray:
     return np.concatenate((half[::-1][:nodes // 2], half))
 
 
+def _horner(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] t^k, one polynomial per column of coef."""
+    return functools.reduce(lambda acc, ck: acc * t + ck, coef[::-1])
+
+
 @functools.lru_cache(maxsize=8)
 def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre nodes (ascending) and weights on [-1, 1].
 
-    Newton's method on P_n finds the non-negative half of the nodes,
-    starting from Tricomi's estimates (1 - (n-1)/(8 n^3)) cos(pi (4i-1) /
-    (4n+2)); three or four steps reach machine precision. Each
-    step evaluates the recurrence at every node, so the rule costs O(n^2)
-    operations (Hale & Townsend, SIAM J. Sci. Comput. 35, A652, 2013).
-    The weights are 2 / ((1 - x^2) P_n'(x)^2), taken at the last iterate
-    and moved to the root to first order. The negative half is the exact
-    mirror image: x == -x[::-1] and w == w[::-1]. Cached per node count
-    (200 ... 6400 under node doubling).
+    The non-negative nodes start from Tricomi's estimates x0 = (1 -
+    (n-1)/(8 n^3)) cos(pi (4i-1) / (4n+2)) (Hale & Townsend, SIAM J.
+    Sci. Comput. 35, A652, 2013). One recurrence pass, O(n^2)
+    operations, gives c_k = P_n^(k)(x0) / k! for k < 2, and the
+    differentiated Legendre equation (k+2)(k+1)(1-x0^2) c_(k+2) =
+    2 (k+1)^2 x0 c_(k+1) - (n(n+1) - k(k+1)) c_k the rest (Glaser, Liu &
+    Rokhlin, SIAM J. Sci. Comput. 29, 1420, 2007). Newton's method runs
+    on the degree-8 Taylor polynomial q(t) (P_n itself for n <= 8); the
+    node is x0 + t, the weight 2 / ((1 - x^2) q'(t)^2) with 1 - x^2
+    formed from x0 and t. The negative half is the exact mirror image:
+    x == -x[::-1] and w == w[::-1]. Cached per node count (200 ... 6400
+    under node doubling).
     """
     half = nodes // 2
     i = np.arange(half, 0, -1)
-    x = (1.0 - (nodes - 1) / (8.0 * nodes ** 3)) * np.cos(
+    x0 = (1.0 - (nodes - 1) / (8.0 * nodes ** 3)) * np.cos(
         np.pi * (4 * i - 1) / (4 * nodes + 2))
     if nodes % 2:
-        x = np.concatenate(([0.0], x))
+        x0 = np.concatenate(([0.0], x0))
+    one_minus_x2 = (1.0 - x0) * (1.0 + x0)
+    coef = np.empty((min(nodes, 8) + 1, x0.size))
+    coef[:2] = _legendre(nodes, x0)
+    for k in range(coef.shape[0] - 2):
+        coef[k + 2] = ((2 * (k + 1) ** 2 * x0 * coef[k + 1]
+                        - (nodes * (nodes + 1) - k * (k + 1)) * coef[k])
+                       / ((k + 2) * (k + 1) * one_minus_x2))
+    slope = coef[1:] * np.arange(1.0, coef.shape[0])[:, None]
+    t = np.zeros_like(x0)
     for _ in range(10):
-        p, dp = _legendre(nodes, x)
-        step = p / dp
-        # the weight at the root x - step: at a root of P_n,
-        # d(log w)/dx = -2x / (1 - x^2)
-        one_minus_x2 = (1.0 - x) * (1.0 + x)
-        w = (2.0 + 4.0 * x * step / one_minus_x2) / (one_minus_x2 * dp * dp)
-        x -= step
+        step = _horner(coef, t) / _horner(slope, t)
+        t -= step
         if np.abs(step).max() <= _EPS:
             break
-    x, w = _unfold(x, nodes), _unfold(w, nodes)
+    w = 2.0 / ((one_minus_x2 - t * (2.0 * x0 + t)) * _horner(slope, t) ** 2)
+    x, w = _unfold(x0 + t, nodes), _unfold(w, nodes)
     x[:half] *= -1.0
     x.flags.writeable = False
     w.flags.writeable = False

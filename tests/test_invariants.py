@@ -14,13 +14,19 @@ c = 1). The outputs that break an invariant today are listed below and
 marked ``xfail(strict=True)``: ROADMAP item 1 traces them to the
 quantum-number parity rule. A change that mends one of them makes its
 xfail pass, which fails the suite until the list is updated.
+
+Each sector ground state is also checked to be a strict local minimum
+of the Yang-Yang action (Yang & Yang, J. Math. Phys. 10, 1115, 1969):
+diag(d) J, with d from ``bae._SYMMETRIZER``, has a Cholesky factor.
 """
 import functools
 import math
 
+import numpy as np
 import pytest
 
-from bfmix.bae import MixtureSpec, energy_momentum, solve
+from bfmix.bae import (_SYMMETRIZER, MixtureSpec, energy_momentum, jacobian,
+                       solve)
 from bfmix.excitations import (AddOneFermion, GroundState, ParticleHole,
                                TwoFermions, dispersion, ground_state_numbers,
                                sector_ground)
@@ -62,13 +68,14 @@ def _compositions():
 
 
 @functools.cache
-def _sector_obs(n: int, pops: tuple[int, int, int], c: float):
+def _sector(n: int, pops: tuple[int, int, int], c: float):
+    """(spec, sector_ground triple), solved once for every census."""
     spec = MixtureSpec.from_populations("ffb", pops, float(n), c)
-    return sector_ground(spec)[2]
+    return spec, sector_ground(spec)
 
 
 def _sector_keeps(invariant: str, n: int, pops, c: float) -> bool:
-    obs = _sector_obs(n, pops, c)
+    obs = _sector(n, pops, c)[1][2]
     if invariant == "momentum":
         return _momentum_is_integer(obs.P, float(n))
     return obs.E >= _free_bound(pops, float(n))
@@ -87,6 +94,23 @@ def test_sector_ground_states_keep_invariant(invariant, c):
               if not _sector_known_broken(invariant, n, pops, c)
               and not _sector_keeps(invariant, n, pops, c)]
     assert broken == []
+
+
+@pytest.mark.parametrize("c", SECTOR_COUPLINGS)
+def test_sector_ground_states_are_action_minima(c):
+    # ROADMAP 10(b): diag(d) J is the Hessian of the Yang-Yang action, so
+    # a sector ground on the right branch is a strict local minimum and
+    # its Cholesky factorization exists
+    d = np.array(_SYMMETRIZER["ffb"], dtype=float)
+    not_minima = []
+    for n, pops in _compositions():
+        spec, (qn, roots, _) = _sector(n, pops, c)
+        sym = np.repeat(d, (spec.n, spec.m, spec.mp))
+        try:
+            np.linalg.cholesky(sym[:, None] * jacobian(spec, qn, roots))
+        except np.linalg.LinAlgError:
+            not_minima.append((n, pops))
+    assert not_minima == []
 
 
 _SECTOR_KNOWN = [

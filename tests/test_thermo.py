@@ -207,7 +207,7 @@ def test_kf_search_probe_cap(monkeypatch):
         assert len(probes) <= 2.0 * np.log2(1.0 / thermo._KF_TOL)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 101, 400, 1600])
+@pytest.mark.parametrize("n", [*range(1, 65), 101, 200, 400, 1600])
 def test_gauss_legendre_rule(n):
     x, w = thermo._gauss_legendre(n)
     assert x.size == w.size == n
@@ -225,6 +225,46 @@ def test_gauss_legendre_rule(n):
     # moments above by 3.3e-10 at n = 1600, so they are not compared.)
     reference, _ = np.polynomial.legendre.leggauss(n)
     assert np.abs(x - reference).max() <= 2 * np.spacing(1.0)
+
+
+def _longdouble_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Non-negative nodes and their weights by Newton's method on the
+    recurrence in long double, started from numpy's eigenvalue nodes."""
+    x = np.polynomial.legendre.leggauss(n)[0][n // 2:].astype(np.longdouble)
+    for _ in range(6):
+        prev, p = np.ones_like(x), x.copy()
+        for k in range(1, n):
+            prev, p = p, ((2 * k + 1) * x * p - k * prev) / (k + 1)
+        dp = n * (prev - x * p) / ((1 - x) * (1 + x))
+        x = x - p / dp
+    return x, 2 / ((1 - x) * (1 + x) * dp * dp)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("n", [7, 101, 400])
+def test_gauss_legendre_rule_matches_long_double_newton(n):
+    x, w = thermo._gauss_legendre(n)
+    x_ref, w_ref = _longdouble_rule(n)
+    assert np.abs(x[n // 2:] - x_ref).max() <= np.spacing(1.0)
+    assert np.abs(w[n // 2:] / w_ref - 1).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 200, 401])
+def test_gauss_legendre_rule_runs_the_recurrence_once(n, monkeypatch):
+    # the Newton steps run on the local Taylor polynomial, not on the
+    # recurrence
+    calls = []
+    legendre = thermo._legendre
+
+    def counted(*args):
+        calls.append(args[0])
+        return legendre(*args)
+
+    monkeypatch.setattr(thermo, "_legendre", counted)
+    x, _ = thermo._gauss_legendre.__wrapped__(n)
+    assert calls == [n]
+    assert x.size == n
 
 
 @pytest.mark.parametrize("nodes", [7, 200])
